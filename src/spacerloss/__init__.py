@@ -26,8 +26,6 @@ from .estimators import (
 )
 from .likelihood import (
     GeneralGapLaw,
-    PairGapLaw,
-    TripleGapLaw,
     die_probs_pair,
     die_probs_triple,
     general_gap_logpmf,
@@ -65,11 +63,9 @@ __all__ = [
     "LeafArrays",
     "ModelParams",
     "NewickError",
-    "PairGapLaw",
     "PairStats",
     "SurvivalTable",
     "TreeError",
-    "TripleGapLaw",
     "TripleStats",
     "UltrametricTree",
     "die_probs_pair",

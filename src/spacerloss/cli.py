@@ -12,56 +12,37 @@ stats CSV    n=2: ``replicate,M,D``; n=3: ``replicate,M,D1,D2,D3,D4``.
 results CSV  ``rho,replicate,rho_hat,ratio,skipped``.
 
 Exit codes: 0 success, 2 usage/input error, 3 validation failure.
+``validate`` reports what :func:`spacerloss.validation.run_validation`
+computes.
 
 Determinism: every replicate gets its own seed from a splitmix64 mix of
-(base seed, grid index, replicate index), so output bytes are identical
-for serial and parallel runs; ``SPACERLOSS_THREADS`` caps the worker
-count.
+(base seed, grid index, replicate index), see
+:func:`spacerloss.process.mix_seed`, so output bytes are identical for
+serial and parallel runs; ``SPACERLOSS_THREADS`` caps the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
-from . import equal_spacers, likelihood, tree as treemod
+from . import equal_spacers, tree as treemod
 from .estimators import (
     InsufficientDataError,
     estimate_rho_pair,
     estimate_rho_triple,
     estimate_theta_moment,
 )
-from .process import ModelParams, simulate_tree
+from .process import ModelParams, mix_seed, simulate_tree
 from .tree import UltrametricTree, parse_newick, sample_coalescent, to_newick
 
-__all__ = ["ExperimentConfig", "main", "run_fig_experiment", "splitmix64"]
-
-_MASK = (1 << 64) - 1
-
-
-def splitmix64(x: int) -> int:
-    """One splitmix64 step; the documented mixing function behind all
-    per-replicate seeds."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
-
-
-def mix_seed(seed: int, *indices: int) -> int:
-    """Derive a subsidiary seed from (seed, *indices)."""
-    out = splitmix64(seed & _MASK)
-    for idx in indices:
-        out = splitmix64(out ^ (idx & _MASK))
-    return out
+__all__ = ["ExperimentConfig", "main", "run_fig_experiment"]
 
 
 @dataclass(frozen=True)
@@ -172,6 +153,13 @@ def _read_trees(path: str, n_replicates: int) -> list[UltrametricTree]:
     return [parse_newick(ln) for ln in lines]
 
 
+def _tree_of(trees: list[UltrametricTree], rep: int) -> UltrametricTree:
+    """The tree of replicate ``rep``; replicate numbers start at 1."""
+    if rep < 1:
+        raise CliError(f"replicate numbers start at 1, found {rep}")
+    return trees[rep - 1]
+
+
 def cmd_stats(args) -> int:
     replicates = _read_arrays(args.arrays)
     reps = sorted(replicates)
@@ -188,7 +176,7 @@ def cmd_stats(args) -> int:
         for rep in reps:
             arrays = replicates[rep]
             if trees is not None:
-                t = trees[rep - 1]
+                t = _tree_of(trees, rep)
                 if set(t.leaves) != set(arrays):
                     raise CliError(f"leaf mismatch between files at replicate {rep}")
             if n == 2:
@@ -197,7 +185,7 @@ def cmd_stats(args) -> int:
             else:
                 if trees is None:
                     raise CliError("three-leaf stats need --trees for the cherry")
-                st = equal_spacers.triple_stats(arrays, trees[rep - 1].cherry())
+                st = equal_spacers.triple_stats(arrays, t.cherry())
                 row = [rep, st.m] + [
                     "" if d is None else d for d in (st.d1, st.d2, st.d3, st.d4)
                 ]
@@ -228,19 +216,17 @@ def cmd_estimate(args) -> int:
     method = args.method or ("pair" if is_pair else "triple")
     if method == "pair" and not is_pair or method == "triple" and not is_triple:
         raise CliError(f"--method {method} does not match stats columns")
-    trees = _read_trees(args.trees, len(rows)) if args.trees else None
+    reps = [int(row["replicate"]) for row in rows]
+    trees = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
     arrays = _read_arrays(args.arrays) if args.arrays else None
-    if method == "moments" and arrays is None:
-        raise CliError("--method moments requires --arrays")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["replicate", "rho_hat", "theta_hat", "loglik", "boundary", "skipped_reason"]
         )
-        for i, row in enumerate(rows):
-            rep = int(row["replicate"])
+        for rep, row in zip(reps, rows):
             if trees is not None:
-                T, T_prime = _times_from_tree(trees[i])
+                T, T_prime = _times_from_tree(_tree_of(trees, rep))
             else:
                 if args.T is None:
                     raise CliError("need --trees or --T")
@@ -264,6 +250,8 @@ def cmd_estimate(args) -> int:
                 continue
             theta = ""
             if arrays is not None and res.rho_hat > 0:
+                if rep not in arrays:
+                    raise CliError(f"replicate {rep} is missing from {args.arrays}")
                 theta = _fmt(estimate_theta_moment(res.rho_hat, arrays[rep]))
             writer.writerow(
                 [rep, _fmt(res.rho_hat), theta, _fmt(res.loglik),
@@ -275,143 +263,10 @@ def cmd_estimate(args) -> int:
 # -- validate ----------------------------------------------------------
 
 
-def _chisquare_from_counts(observed: dict, probs: dict, total: int, min_expected=5.0):
-    """Chi-square of observed category counts against model probabilities,
-    pooling low-expectation cells."""
-    keys = sorted(probs, key=lambda k: -probs[k])
-    obs, exp = [], []
-    pool_o, pool_e = 0.0, 0.0
-    for k in keys:
-        e = probs[k] * total
-        o = observed.get(k, 0)
-        if e >= min_expected:
-            obs.append(o)
-            exp.append(e)
-        else:
-            pool_o += o
-            pool_e += e
-    leftover_o = total - sum(obs) - pool_o
-    pool_o += leftover_o
-    pool_e += max(total - sum(exp) - pool_e, 0.0)
-    if pool_e > 0:
-        obs.append(pool_o)
-        exp.append(pool_e)
-    exp = np.asarray(exp, dtype=float)
-    exp *= total / exp.sum()
-    chi2, p = sps.chisquare(np.asarray(obs, dtype=float), exp)
-    return float(chi2), float(p)
-
-
-def _build_triple_tree(T: float, T_prime: float) -> UltrametricTree:
-    stem = T - T_prime
-    if stem <= 0:
-        raise CliError("need T > Tprime for a three-leaf tree")
-    return parse_newick(f"((1:{T_prime!r},2:{T_prime!r}):{stem!r},3:{T!r});")
-
-
-def run_validation(rho, theta, T, T_prime, trials, seed=0):
-    """Simulate and compare against the analytic gap laws; returns a list
-    of (name, statistic, p_value) lines."""
-    params = ModelParams(theta=theta, rho=rho)
-    report = []
-    if T_prime is None:
-        t = parse_newick(f"(1:{T!r},2:{T!r});")
-        gaps: dict = {}
-        n_gaps = 0
-        new_counts = np.zeros(2)
-        for rep in range(trials):
-            sim = simulate_tree(t, params, mix_seed(seed, rep))
-            st = equal_spacers.pair_stats(sim.arrays)
-            # first interior gap only: pooling a random number of gaps
-            # per replicate is length-biased
-            if st.m >= 2:
-                a = st.v[1] - st.v[0]
-                b = st.w[1] - st.w[0]
-                gaps[(a, b)] = gaps.get((a, b), 0) + 1
-                n_gaps += 1
-            root = set(sim.root_array)
-            for j, leaf in enumerate(t.leaves):
-                new_counts[j] += sum(1 for s in sim.arrays[leaf] if s not in root)
-        amax = max((max(a, b) for a, b in gaps), default=0) + 1
-        probs = {
-            (a, b): likelihood.pair_gap_pmf(a, b, rho, T)
-            for a in range(amax)
-            for b in range(amax)
-        }
-        chi2, p = _chisquare_from_counts(gaps, probs, n_gaps)
-        report.append(("pair gap pmf chi-square", chi2, p))
-        z = theta / rho * (1.0 - math.exp(-rho * T))
-        for j in range(2):
-            mean = new_counts[j] / trials
-            zscore = (mean - z) / math.sqrt(z / trials)
-            report.append((f"new-spacer mean leaf {j + 1}", zscore, _z_pvalue(zscore)))
-    else:
-        t = _build_triple_tree(T, T_prime)
-        gaps = {}
-        n_gaps = 0
-        classes = [
-            frozenset({"1"}), frozenset({"2"}), frozenset({"3"}),
-            frozenset({"1", "2"}), frozenset({"1", "3"}), frozenset({"2", "3"}),
-        ]
-        new_class_counts = dict.fromkeys(classes, 0)
-        for rep in range(trials):
-            sim = simulate_tree(t, params, mix_seed(seed, rep))
-            gd = equal_spacers.gap_decomposition(sim.arrays)
-            if gd.m >= 2:  # first interior gap only, see the pair branch
-                key = tuple(gd.counts.get(K, (0,) * gd.m)[1] for K in classes)
-                gaps[key] = gaps.get(key, 0) + 1
-                n_gaps += 1
-            root = set(sim.root_array)
-            member: dict[int, set] = {}
-            for leaf, arr in sim.arrays.items():
-                for s in arr:
-                    if s not in root:
-                        member.setdefault(s, set()).add(leaf)
-            for s, K in member.items():
-                fs = frozenset(K)
-                if fs in new_class_counts:
-                    new_class_counts[fs] += 1
-        cmax = max((max(k) for k in gaps), default=0) + 1
-        probs = {}
-        for key, count in gaps.items():
-            probs[key] = likelihood.triple_gap_pmf(*key, rho, T, T_prime)
-        # add high-probability tuples not observed so pooling is honest
-        rng_keys = [
-            (a, b, c, d, e, f)
-            for a in range(min(cmax, 4)) for b in range(min(cmax, 4))
-            for c in range(min(cmax, 4)) for d in range(min(cmax, 4))
-            for e in range(min(cmax, 4)) for f in range(min(cmax, 4))
-        ]
-        for key in rng_keys:
-            probs.setdefault(key, likelihood.triple_gap_pmf(*key, rho, T, T_prime))
-        chi2, p = _chisquare_from_counts(gaps, probs, n_gaps)
-        report.append(("triple gap pmf chi-square", chi2, p))
-        means = {
-            frozenset({"1"}): treemod.poisson_mean_new(t, theta, rho, ["1"]),
-            frozenset({"2"}): treemod.poisson_mean_new(t, theta, rho, ["2"]),
-            frozenset({"3"}): treemod.poisson_mean_new(t, theta, rho, ["3"]),
-            frozenset({"1", "2"}): treemod.poisson_mean_new(t, theta, rho, ["1", "2"]),
-            frozenset({"1", "3"}): 0.0,
-            frozenset({"2", "3"}): 0.0,
-        }
-        for K in classes:
-            mean = new_class_counts[K] / trials
-            lam = means[K]
-            name = "new-spacer mean {%s}" % ",".join(sorted(K))
-            if lam == 0.0:
-                ok = new_class_counts[K] == 0
-                report.append((name + " (must be exactly 0)", float(mean), 1.0 if ok else 0.0))
-            else:
-                zscore = (mean - lam) / math.sqrt(lam / trials)
-                report.append((name, zscore, _z_pvalue(zscore)))
-    return report
-
-
-def _z_pvalue(z: float) -> float:
-    return float(2.0 * sps.norm.sf(abs(z)))
-
-
 def cmd_validate(args) -> int:
+    # imported here: scipy.stats is slow to load and only validation uses it
+    from .validation import run_validation
+
     if args.trials < 1000:
         raise CliError("need at least 1000 trials")
     report = run_validation(args.rho, args.theta, args.T, args.Tprime, args.trials, args.seed)
@@ -557,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", default=None)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--Tprime", type=float, default=None)
-    p.add_argument("--method", choices=["pair", "triple", "moments"], default=None)
+    p.add_argument("--method", choices=["pair", "triple"], default=None)
     p.add_argument("--arrays", default=None, help="enables the theta moment estimate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)

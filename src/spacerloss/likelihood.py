@@ -2,8 +2,8 @@
 
 All pmfs are computed in log space with log-gamma binomial/multinomial
 coefficients, so counts up to 1e6 are handled without overflow.  The
-count arguments of :func:`pair_gap_pmf`, :func:`triple_gap_pmf` and the
-law objects' array methods broadcast over numpy arrays.
+count arguments of :func:`pair_gap_pmf`, :func:`triple_gap_pmf` and
+:meth:`GeneralGapLaw.logpmf_array` broadcast over numpy arrays.
 
 Gap counts follow the "unshared" convention throughout: a gap value a
 is the number of spacers strictly between two consecutive equal spacers
@@ -20,11 +20,9 @@ from typing import Mapping
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .tree import UltrametricTree, mrca, p_exact_subset, spanning_length, survival
+from .tree import UltrametricTree, p_exact_subset, spanning_length, survival
 
 __all__ = [
-    "PairGapLaw",
-    "TripleGapLaw",
     "GeneralGapLaw",
     "pair_gap_pmf",
     "pair_gap_logpmf",
@@ -54,25 +52,6 @@ def _exp_neg(rho: float, T: float) -> float:
 
 
 # -- two leaves --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairGapLaw:
-    """Gap law between equal spacers for a cherry of depth T."""
-
-    rho: float
-    T: float
-
-    def __post_init__(self):
-        _check_rate_time(self.rho, self.T)
-
-    @property
-    def p(self) -> float:
-        return _exp_neg(self.rho, self.T)
-
-    @property
-    def x(self) -> float:
-        return (1.0 - self.p) / (2.0 - self.p)
 
 
 def pair_gap_logpmf(a, b, rho: float, T: float):
@@ -171,32 +150,6 @@ def pair_conditional_loglik(m: int, d: int, rho: float, T: float) -> float:
 
 
 # -- three leaves ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TripleGapLaw:
-    """Gap law for the 3-leaf topology: cherry (f1, f2) at depth T',
-    outgroup f3 at depth T >= T'."""
-
-    rho: float
-    T: float
-    T_prime: float
-
-    def __post_init__(self):
-        _check_rate_time(self.rho, self.T)
-        _check_rate_time(self.rho, self.T_prime, "T_prime")
-        if self.T < self.T_prime:
-            raise ValueError("T must be >= T_prime")
-
-    @property
-    def r(self) -> float:
-        pT = _exp_neg(self.rho, self.T)
-        pTp = _exp_neg(self.rho, self.T_prime)
-        return 3.0 - pTp - pT * (2.0 - pTp)
-
-    @property
-    def q(self) -> tuple[float, ...]:
-        return die_probs_triple(self.rho, self.T, self.T_prime)
 
 
 def die_probs_triple(rho: float, T: float, T_prime: float) -> tuple[float, ...]:

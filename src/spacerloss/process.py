@@ -4,7 +4,8 @@ Spacer arrays are tuples of opaque integer tokens, leader end first.
 Per-edge randomness is drawn from a generator seeded by (seed, node id),
 and fresh tokens are allocated from a per-edge block (node id in the high
 bits), so results do not depend on traversal order and subtrees below a
-branch point may be simulated concurrently.
+branch point may be simulated concurrently.  Callers that run many
+replicates derive each replicate's seed with :func:`mix_seed`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,33 @@ import numpy as np
 
 from .tree import UltrametricTree
 
-__all__ = ["ModelParams", "LeafArrays", "simulate_line", "equilibrium_root", "simulate_tree"]
+__all__ = [
+    "ModelParams", "LeafArrays", "simulate_line", "equilibrium_root", "simulate_tree",
+    "splitmix64", "mix_seed",
+]
 
 # token = (block_id << _TOKEN_SHIFT) | index; block 0 is reserved for
 # caller-supplied arrays in simulate_line
 _TOKEN_SHIFT = 40
+
+_MASK = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    """One splitmix64 step; the documented mixing function behind all
+    per-replicate seeds."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+def mix_seed(seed: int, *indices: int) -> int:
+    """Derive a subsidiary seed from (seed, *indices)."""
+    out = splitmix64(seed & _MASK)
+    for idx in indices:
+        out = splitmix64(out ^ (idx & _MASK))
+    return out
 
 
 @dataclass(frozen=True)

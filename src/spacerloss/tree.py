@@ -98,17 +98,14 @@ class UltrametricTree:
         if len(set(labels)) != len(labels):
             raise TreeError("leaf labels must be unique")
 
-        # normalize child order by smallest descendant leaf label
+        # normalize child order by smallest descendant leaf label; parents
+        # precede children in ``order``, so reversing it visits children first
         min_label = ["" for _ in range(n)]
-
-        def _min_label(i: int) -> str:
-            if label[i]:
-                min_label[i] = label[i]
-            else:
-                min_label[i] = min(_min_label(c) for c in children[i])
-            return min_label[i]
-
-        _min_label(root)
+        order = [root]
+        for i in order:
+            order.extend(children[i])
+        for i in reversed(order):
+            min_label[i] = label[i] or min(min_label[c] for c in children[i])
         for i in range(n):
             children[i].sort(key=lambda c: min_label[c])
 
@@ -227,49 +224,56 @@ def parse_newick(text: str) -> UltrametricTree:
         label.append("")
         return len(parent) - 1
 
+    # iterative descent: ``open_nodes`` holds [node, children so far] for
+    # every internal node whose closing ')' is still ahead; node ids are
+    # assigned in order of appearance, as a recursive descent would
+    open_nodes: list[list[int]] = []
     pos = 0
-
-    def parse_clade() -> int:
-        nonlocal pos
-        node = new_node()
+    root = node = new_node()
+    while True:
         if pos < len(s) and s[pos] == "(":
             pos += 1
-            nchild = 0
-            while True:
-                child = parse_clade()
-                parent[child] = node
-                nchild += 1
-                if pos >= len(s):
-                    raise NewickError("unbalanced parenthesis", pos)
-                if s[pos] == ",":
-                    pos += 1
-                    continue
-                if s[pos] == ")":
-                    pos += 1
-                    break
-                raise NewickError(f"unexpected character {s[pos]!r}", pos)
-            if nchild != 2:
-                raise NewickError(f"non-binary vertex with {nchild} children", pos)
-        else:
-            start = pos
-            while pos < len(s) and s[pos] not in "():,;":
-                pos += 1
-            name = s[start:pos].strip()
-            if not name:
-                raise NewickError("empty leaf label", start)
-            label[node] = name
-        if pos < len(s) and s[pos] == ":":
+            open_nodes.append([node, 0])
+            node = new_node()
+            continue
+        start = pos
+        while pos < len(s) and s[pos] not in "():,;":
             pos += 1
-            start = pos
-            while pos < len(s) and s[pos] not in "(),:;":
+        name = s[start:pos].strip()
+        if not name:
+            raise NewickError("empty leaf label", start)
+        label[node] = name
+        # close clades until one is followed by a sibling or the tree ends
+        while True:
+            if pos < len(s) and s[pos] == ":":
                 pos += 1
-            try:
-                length[node] = float(s[start:pos])
-            except ValueError:
-                raise NewickError(f"invalid branch length {s[start:pos]!r}", start) from None
-        return node
-
-    root = parse_clade()
+                start = pos
+                while pos < len(s) and s[pos] not in "(),:;":
+                    pos += 1
+                try:
+                    length[node] = float(s[start:pos])
+                except ValueError:
+                    raise NewickError(f"invalid branch length {s[start:pos]!r}", start) from None
+            if not open_nodes:
+                break
+            frame = open_nodes[-1]
+            parent[node] = frame[0]
+            frame[1] += 1
+            if pos >= len(s):
+                raise NewickError("unbalanced parenthesis", pos)
+            if s[pos] == ",":
+                pos += 1
+                node = new_node()
+                break
+            if s[pos] != ")":
+                raise NewickError(f"unexpected character {s[pos]!r}", pos)
+            pos += 1
+            open_nodes.pop()
+            if frame[1] != 2:
+                raise NewickError(f"non-binary vertex with {frame[1]} children", pos)
+            node = frame[0]
+        if not open_nodes:
+            break
     if pos != len(s):
         raise NewickError(f"trailing characters {s[pos:]!r}", pos)
     for i in range(len(parent)):
@@ -286,16 +290,13 @@ def to_newick(tree: UltrametricTree) -> str:
     """Canonical Newick serialization (children ordered by smallest leaf
     label, branch lengths with 12 significant digits)."""
 
-    def render(v: int) -> str:
-        if tree.label[v]:
-            body = tree.label[v]
-        else:
-            body = "(" + ",".join(
-                render(c) + ":" + _fmt_len(tree.length[c]) for c in tree.children[v]
-            ) + ")"
-        return body
-
-    return render(tree.root) + ";"
+    text = list(tree.label)  # internal nodes ('') are filled in below
+    for v in tree.postorder():
+        if not text[v]:
+            a, b = tree.children[v]
+            text[v] = f"({text[a]}:{_fmt_len(tree.length[a])},{text[b]}:{_fmt_len(tree.length[b])})"
+            text[a] = text[b] = ""  # free subtree text once it is embedded
+    return text[tree.root] + ";"
 
 
 # -- Kingman coalescent ------------------------------------------------

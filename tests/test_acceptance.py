@@ -22,7 +22,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 import spacerloss as sl
-from spacerloss.cli import ExperimentConfig, _chisquare_from_counts, mix_seed, run_fig_experiment
+from spacerloss.cli import ExperimentConfig, run_fig_experiment
+from spacerloss.process import mix_seed
+from spacerloss.validation import chisquare_from_counts, sample_gaps
 
 SEED = 20260823
 LN2 = math.log(2.0)
@@ -120,31 +122,22 @@ def test_criterion_2_pair_simulator_agreement():
     theta = 100.0 * rho
     tree = sl.parse_newick(f"(1:{T},2:{T});")
     params = sl.ModelParams(theta=theta, rho=rho)
-    joint: dict = {}
+    # one gap per replicate, keyed (leaf 1, leaf 2)
+    sample = sample_gaps(tree, params, (mix_seed(SEED, 2, rep) for rep in range(100_000)))
+    joint, n_gaps = sample.first_gaps, sample.n_gaps
     marg: dict = {}
-    n_gaps = 0
-    # one gap per replicate: pooling a random number of gaps would be
-    # length-biased (replicates with more equal spacers have shorter gaps)
-    for rep in range(100_000):
-        sim = sl.simulate_tree(tree, params, mix_seed(SEED, 2, rep))
-        stats = sl.pair_stats(sim.arrays)
-        if stats.m < 2:
-            continue
-        a = stats.v[1] - stats.v[0]
-        b = stats.w[1] - stats.w[0]
-        joint[(a, b)] = joint.get((a, b), 0) + 1
-        marg[a] = marg.get(a, 0) + 1
-        n_gaps += 1
+    for (a, _), count in joint.items():
+        marg[a] = marg.get(a, 0) + count
     amax = max(max(a, b) for a, b in joint) + 2
     probs = {
         (a, b): sl.pair_gap_pmf(a, b, rho, T)
         for a in range(amax)
         for b in range(amax)
     }
-    _, p_joint = _chisquare_from_counts(joint, probs, n_gaps)
+    _, p_joint = chisquare_from_counts(joint, probs, n_gaps)
     p_half = 0.5
     geom = {a: p_half * (1 - p_half) ** a for a in range(amax)}
-    _, p_marg = _chisquare_from_counts(marg, geom, n_gaps)
+    _, p_marg = chisquare_from_counts(marg, geom, n_gaps)
     elapsed = time.perf_counter() - t0
     report(
         2,
@@ -173,26 +166,10 @@ def test_criterion_3_triple_simulator_agreement():
     tree = sl.parse_newick(f"((1:{Tp},2:{Tp}):{T - Tp},3:{T});")
     params = sl.ModelParams(theta=theta, rho=rho)
     n_rep = 100_000
-    gaps: dict = {}
-    n_gaps = 0
-    class_totals = dict.fromkeys(CLASSES, 0)
-    for rep in range(n_rep):
-        sim = sl.simulate_tree(tree, params, mix_seed(SEED, 3, rep))
-        gd = sl.gap_decomposition(sim.arrays)
-        if gd.m >= 2:  # first interior gap only, to avoid length bias
-            key = tuple(gd.counts.get(K, (0,) * gd.m)[1] for K in CLASSES)
-            gaps[key] = gaps.get(key, 0) + 1
-            n_gaps += 1
-        root = set(sim.root_array)
-        member: dict = {}
-        for leaf, arr in sim.arrays.items():
-            for s in arr:
-                if s not in root:
-                    member.setdefault(s, []).append(leaf)
-        for s, ls in member.items():
-            K = frozenset(ls)
-            if K in class_totals:
-                class_totals[K] += 1
+    # first interior gap only, one count per class in CLASSES order
+    sample = sample_gaps(tree, params, (mix_seed(SEED, 3, rep) for rep in range(n_rep)))
+    assert sample.classes == tuple(CLASSES)
+    gaps, n_gaps, class_totals = sample.first_gaps, sample.n_gaps, sample.new_counts
 
     probs = {k: sl.triple_gap_pmf(*k, rho, T, Tp) for k in gaps}
     for c1 in range(3):
@@ -201,7 +178,7 @@ def test_criterion_3_triple_simulator_agreement():
                 for c4 in range(3):
                     key = (c1, c2, c3, 0, c4, 0)
                     probs.setdefault(key, sl.triple_gap_pmf(*key, rho, T, Tp))
-    _, p_gaps = _chisquare_from_counts(gaps, probs, n_gaps)
+    _, p_gaps = chisquare_from_counts(gaps, probs, n_gaps)
 
     pT, pTp = math.exp(-rho * T), math.exp(-rho * Tp)
     k = theta / rho

@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
-from spacerloss.cli import ExperimentConfig, main, mix_seed, splitmix64
+import spacerloss
+from spacerloss.cli import ExperimentConfig, main
+from spacerloss.process import mix_seed, splitmix64
+from spacerloss.tree import parse_newick, to_newick
 
 CHERRY = "(1:1.0,2:1.0);"
 TRIPLE = "((1:0.5,2:0.5):0.5,3:1.0);"
@@ -142,10 +145,112 @@ def test_validate_pair_passes():
     ) == 0
 
 
+def test_validate_triple_reports_each_check(capsys):
+    assert run_cli(
+        "validate", "--rho", "0.693", "--theta", "69.3", "--T", "1",
+        "--Tprime", "0.5", "--trials", "1000", "--seed", "3",
+    ) == 0
+    names = [ln.split(": statistic=")[0] for ln in capsys.readouterr().out.splitlines()]
+    assert names == [
+        "triple gap pmf chi-square",
+        "new-spacer mean {1}",
+        "new-spacer mean {2}",
+        "new-spacer mean {3}",
+        "new-spacer mean {1,2}",
+        "new-spacer mean {1,3} (must be exactly 0)",
+        "new-spacer mean {2,3} (must be exactly 0)",
+    ]
+
+
 def test_validate_rejects_tiny_trials():
     assert run_cli(
         "validate", "--rho", "1", "--theta", "10", "--T", "1", "--trials", "10",
     ) == 2
+
+
+def test_estimate_rejects_moments_method(tmp_path):
+    stats = tmp_path / "stats.csv"
+    write(stats, "replicate,M,D\n1,5,3\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "estimate", "--stats", str(stats), "--T", "1", "--method", "moments",
+            "--out", str(tmp_path / "e.csv"),
+        )
+    assert exc.value.code == 2
+
+
+def _simulate_pair_files(tmp_path):
+    arrays = tmp_path / "arrays.csv"
+    stats = tmp_path / "stats.csv"
+    assert run_cli(
+        "simulate", "--tree", "coalescent:2", "--theta", "50", "--rho", "0.5",
+        "--replicates", "3", "--seed", "1", "--out", str(arrays),
+    ) == 0
+    assert run_cli(
+        "stats", "--arrays", str(arrays), "--trees", str(arrays) + ".trees",
+        "--out", str(stats),
+    ) == 0
+    return arrays, stats
+
+
+def test_estimate_picks_trees_by_replicate_number(tmp_path):
+    arrays, stats = _simulate_pair_files(tmp_path)
+    trees = str(arrays) + ".trees"
+    rows = read_rows(stats)
+    gapped = tmp_path / "gapped.csv"
+    write(gapped, "\n".join(",".join(r) for r in [rows[0]] + rows[2:]) + "\n")
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    assert run_cli("estimate", "--stats", str(stats), "--trees", trees, "--out", str(full)) == 0
+    assert run_cli("estimate", "--stats", str(gapped), "--trees", trees, "--out", str(part)) == 0
+    assert read_rows(part)[1:] == read_rows(full)[2:]
+    assert read_rows(part)[1][:2] == ["2", "0.580190163009"]
+
+
+def test_estimate_rejects_replicate_zero(tmp_path, capsys):
+    stats = tmp_path / "stats.csv"
+    write(stats, "replicate,M,D\n0,5,3\n")
+    tree = tmp_path / "tree.nwk"
+    write(tree, CHERRY + "\n")
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--trees", str(tree),
+        "--out", str(tmp_path / "e.csv"),
+    ) == 2
+    assert "replicate numbers start at 1, found 0" in capsys.readouterr().err
+
+
+def test_estimate_missing_replicate_in_arrays(tmp_path, capsys):
+    arrays, stats = _simulate_pair_files(tmp_path)
+    rows = read_rows(arrays)
+    partial = tmp_path / "partial.csv"
+    write(partial, "\n".join(",".join(r) for r in rows if r[0] != "2") + "\n")
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--T", "1", "--arrays", str(partial),
+        "--out", str(tmp_path / "e.csv"),
+    ) == 2
+    assert f"replicate 2 is missing from {partial}" in capsys.readouterr().err
+
+
+def test_simulate_on_deep_caterpillar(tmp_path):
+    # 2000 leaves, one per level: far deeper than the recursion limit
+    canonical = reordered = "(1:1,2:1)"
+    for k in range(3, 2001):
+        canonical = f"({canonical}:1,{k}:{k - 1})"
+        reordered = f"({k}:{k - 1},{reordered}:1)"
+    canonical += ";"
+    tree = parse_newick(reordered + ";")
+    assert len(tree.leaves) == 2000 and tree.height == 1999.0
+    assert to_newick(tree) == canonical
+    assert to_newick(parse_newick(canonical)) == canonical
+    path = tmp_path / "caterpillar.nwk"
+    write(path, canonical)
+    assert run_cli(
+        "simulate", "--tree", str(path), "--theta", "1", "--rho", "1",
+        "--replicates", "1", "--seed", "0", "--out", str(tmp_path / "a.csv"),
+    ) == 0
+
+
+def test_package_exports_resolve():
+    assert [name for name in spacerloss.__all__ if not hasattr(spacerloss, name)] == []
 
 
 def test_experiment_config_validation():
