@@ -273,7 +273,7 @@ def cmd_validate(args) -> int:
     failed = False
     for name, statistic, p in report:
         print(f"{name}: statistic={statistic:.4g} p={p:.4g}")
-        if p < 1e-4:
+        if not p >= 1e-4:  # a NaN p-value is a failure, never a pass
             failed = True
     return 3 if failed else 0
 

@@ -3,7 +3,10 @@
 Positions are 1-based, counted from the leader end.  A spacer is "equal"
 when it appears in every sampled array; the gap decomposition counts, for
 each segment between consecutive equal spacers, the spacers present in
-exactly each proper leaf subset.
+exactly each proper leaf subset.  Membership is one pass,
+:func:`leaf_masks`: bit i of a spacer's mask is the i-th leaf label in
+sorted order (``UltrametricTree.leaves``).  A spacer held by exactly a
+proper subset K is counted once, in the gap of its first holder by label.
 
 Statistics for estimation are taken over interior gaps only (between the
 first and last equal spacer); the leader-side segment mixes old and new
@@ -13,8 +16,9 @@ yield absent statistics (``None``), never silent zeros.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -30,13 +34,26 @@ __all__ = [
 Arrays = Mapping[str, Sequence[int]]
 
 
-def _check_labels(arrays: Arrays, K, L) -> None:
-    for k in K:
-        if k not in L:
-            raise KeyError(f"unknown leaf label {k!r}")
-    for k in L:
-        if k not in arrays:
-            raise KeyError(f"no array for leaf {k!r}")
+def leaf_masks(arrays: Arrays) -> dict[int, int]:
+    """Map each spacer to the mask of the leaves holding it; reject repeats within an array."""
+    masks: dict[int, int] = {}
+    for i, lab in enumerate(sorted(arrays)):
+        for s in arrays[lab]:
+            mask = masks.get(s, 0)
+            if mask >> i & 1:
+                raise ValueError(f"duplicate spacer {s} in array {lab!r}")
+            masks[s] = mask | 1 << i
+    return masks
+
+
+def subset_mask(leaves: Sequence[str], K) -> int:
+    """Mask of the leaf subset K of the sorted ``leaves``; ValueError for an unknown label."""
+    return sum(1 << leaves.index(k) for k in set(K))
+
+
+def mask_subset(leaves: Sequence[str], mask: int) -> frozenset:
+    """The leaf subset of ``mask``; inverse of :func:`subset_mask`."""
+    return frozenset(lab for i, lab in enumerate(leaves) if mask >> i & 1)
 
 
 def equal_indices(arrays: Arrays, K, L=None) -> dict[str, list[int]]:
@@ -46,12 +63,17 @@ def equal_indices(arrays: Arrays, K, L=None) -> dict[str, list[int]]:
     K = set(K)
     if not K:
         raise ValueError("K must be nonempty")
-    _check_labels(arrays, K, L)
-    exact = set.intersection(*(set(arrays[k]) for k in K))
-    for other in L - K:
-        exact -= set(arrays[other])
+    for k in K:
+        if k not in L:
+            raise KeyError(f"unknown leaf label {k!r}")
+    for k in L:
+        if k not in arrays:
+            raise KeyError(f"no array for leaf {k!r}")
+    leaves, masks = sorted(arrays), leaf_masks(arrays)
+    want, care = subset_mask(leaves, K), subset_mask(leaves, L)
     return {
-        k: [i + 1 for i, s in enumerate(arrays[k]) if s in exact] for k in sorted(K)
+        k: [i + 1 for i, s in enumerate(arrays[k]) if masks[s] & care == want]
+        for k in sorted(K)
     }
 
 
@@ -61,59 +83,40 @@ class GapDecomposition:
 
     ``m`` is the number of spacers shared by all leaves.  ``counts[K][i]``
     is the number of spacers present in exactly the proper subset K lying
-    in gap i, where gap 0 is the leader-side segment before the first
-    equal spacer and gap i (1 <= i <= m-1) lies between equal spacers i
-    and i+1.  Spacers trailing the last equal spacer are not counted.
+    in gap i of the first leaf of K: gap 0 precedes the first equal spacer
+    and gap i (1 <= i <= m-1) lies between equal spacers i and i+1.
+    Spacers trailing the last equal spacer are not counted.
     """
 
     m: int
     counts: Mapping[frozenset, tuple[int, ...]]
-    shared_positions: Mapping[str, tuple[int, ...]]
+
+
+def mask_gaps(arrays: Arrays, masks: Mapping[int, int]) -> tuple[int, dict[int, list[int]]]:
+    """m and the per-gap counts of :class:`GapDecomposition`, keyed by leaf mask."""
+    full = (1 << len(arrays)) - 1
+    m = sum(1 for mask in masks.values() if mask == full)
+    counts: dict[int, list[int]] = defaultdict(lambda: [0] * m)
+    for i, lab in enumerate(sorted(arrays)):
+        gap = 0
+        for s in arrays[lab]:
+            if gap == m:
+                break  # the rest trails the last equal spacer
+            mask = masks[s]
+            if mask == full:
+                gap += 1
+            elif not mask & ((1 << i) - 1):  # no earlier label holds s
+                counts[mask][gap] += 1
+    return m, counts
 
 
 def gap_decomposition(arrays: Arrays) -> GapDecomposition:
     """Decompose the arrays into per-gap exact-subset counts."""
     if len(arrays) < 2:
         raise ValueError("need at least 2 leaf arrays")
-    labels = sorted(arrays)
-    membership: dict[int, set[str]] = {}
-    for lab in labels:
-        seen = set()
-        for s in arrays[lab]:
-            if s in seen:
-                raise ValueError(f"duplicate spacer {s} in array {lab!r}")
-            seen.add(s)
-            membership.setdefault(s, set()).add(lab)
-    full = frozenset(labels)
-    shared_pos = {
-        lab: tuple(
-            i + 1 for i, s in enumerate(arrays[lab]) if len(membership[s]) == len(labels)
-        )
-        for lab in labels
-    }
-    m = len(shared_pos[labels[0]])
-    counts: dict[frozenset, list[int]] = {}
-    if m > 0:
-        position = {
-            lab: {s: i + 1 for i, s in enumerate(arrays[lab])} for lab in labels
-        }
-        for s, K in membership.items():
-            if len(K) == len(labels):
-                continue
-            ref = min(K)
-            pos = position[ref][s]
-            gap = bisect_left(shared_pos[ref], pos)
-            if gap >= m:
-                continue  # beyond the last equal spacer
-            key = frozenset(K)
-            if key not in counts:
-                counts[key] = [0] * m
-            counts[key][gap] += 1
-    return GapDecomposition(
-        m=m,
-        counts={k: tuple(v) for k, v in counts.items()},
-        shared_positions=shared_pos,
-    )
+    m, counts = mask_gaps(arrays, leaf_masks(arrays))
+    leaves = sorted(arrays)
+    return GapDecomposition(m, {mask_subset(leaves, k): tuple(v) for k, v in counts.items()})
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,9 @@ def pair_stats(arrays: Arrays) -> PairStats:
         raise ValueError("pair_stats requires exactly 2 leaf arrays")
     gd = gap_decomposition(arrays)
     l1, l2 = sorted(arrays)
-    # position E_i of the i-th equal spacer minus i = unshared before it
-    v = tuple(pos - i for i, pos in enumerate(gd.shared_positions[l1], start=1))
-    w = tuple(pos - i for i, pos in enumerate(gd.shared_positions[l2], start=1))
+    # every unshared spacer of a pair is held by one leaf only
+    v = tuple(accumulate(gd.counts.get(frozenset({l1}), (0,) * gd.m)))
+    w = tuple(accumulate(gd.counts.get(frozenset({l2}), (0,) * gd.m)))
     d = (v[-1] - v[0]) + (w[-1] - w[0]) if gd.m >= 2 else None
     return PairStats(m=gd.m, v=v, w=w, d=d)
 

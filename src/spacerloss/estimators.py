@@ -26,8 +26,9 @@ __all__ = [
     "TRIPLE_BRACKET_LOW",
 ]
 
-# lower end of the triple search bracket; the upper end is 50 / (T + T')
+# triple search: bracket lower end (the upper end is 50 / (T + T')) and tolerance
 TRIPLE_BRACKET_LOW = 1e-8
+TRIPLE_TOL = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -131,7 +132,6 @@ def estimate_rho_triple(
     d4: int,
     T: float,
     T_prime: float,
-    tol: float = 1e-9,
 ) -> EstimateResult:
     """Numeric MLE from a three-leaf sample via golden-section search on
     the conditional log-likelihood over [1e-8, 50/(T+T')]."""
@@ -153,12 +153,12 @@ def estimate_rho_triple(
         return triple_conditional_loglik(m, d1, d2, d3, d4, rho, T, T_prime)
 
     lower, upper = TRIPLE_BRACKET_LOW, 50.0 / (T + T_prime)
-    rho_hat, value, boundary = maximize_scalar(objective, lower, upper, tol)
+    rho_hat, value, boundary = maximize_scalar(objective, lower, upper, TRIPLE_TOL)
     # coarse-grid cross-check flags multimodality symptoms in diagnostics
     grid_best = max(
         (lower + k * (upper - lower) / 200 for k in range(201)), key=objective
     )
-    suspect = abs(grid_best - rho_hat) > max(10 * tol, (upper - lower) / 150)
+    suspect = abs(grid_best - rho_hat) > max(10 * TRIPLE_TOL, (upper - lower) / 150)
     return EstimateResult(
         rho_hat=rho_hat,
         theta_hat=None,

@@ -20,6 +20,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
+from .equal_spacers import mask_subset, subset_mask
 from .tree import UltrametricTree, p_exact_subset, spanning_length, survival
 
 __all__ = [
@@ -232,8 +233,9 @@ def triple_conditional_loglik(
 class GeneralGapLaw:
     """Per-subset survival probabilities for the general-n gap law.
 
-    ``subsets`` lists all nonempty proper leaf subsets; ``log_p_subset[i]``
-    is the log-probability that a root spacer survives to exactly
+    ``subsets[mask - 1]`` is the nonempty proper leaf subset of ``mask``
+    (see :mod:`spacerloss.equal_spacers`); ``log_p_subset[i]`` is the
+    log-probability that a root spacer survives to exactly
     ``subsets[i]``; ``log_p_root`` is log p(r) and ``neg_rho_lambda`` is
     -rho * (total tree length).
     """
@@ -250,15 +252,12 @@ class GeneralGapLaw:
             raise ValueError("rho must be positive")
         leaves = self.tree.leaves
         table = survival(self.tree, self.rho)
-        subsets = []
-        logs = []
-        for mask in range(1, 2 ** len(leaves) - 1):
-            K = frozenset(l for i, l in enumerate(leaves) if mask >> i & 1)
-            subsets.append(K)
-            pk = p_exact_subset(self.tree, self.rho, self.tree.root, K, table)
-            logs.append(math.log(pk) if pk > 0 else -math.inf)
-        object.__setattr__(self, "subsets", tuple(subsets))
-        object.__setattr__(self, "log_p_subset", tuple(logs))
+        subsets = tuple(mask_subset(leaves, mask) for mask in range(1, 2 ** len(leaves) - 1))
+        probs = [p_exact_subset(self.tree, self.rho, self.tree.root, K, table) for K in subsets]
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(
+            self, "log_p_subset", tuple(math.log(pk) if pk > 0 else -math.inf for pk in probs)
+        )
         object.__setattr__(self, "log_p_root", math.log(table.p[self.tree.root]))
         object.__setattr__(
             self,
@@ -269,15 +268,15 @@ class GeneralGapLaw:
     def logpmf(self, counts: Mapping) -> float:
         """Log-probability of one interior-gap count vector, keyed by leaf
         subset (absent keys count 0)."""
-        lookup = {s: i for i, s in enumerate(self.subsets)}
+        leaves = self.tree.leaves
         vec = np.zeros(len(self.subsets), dtype=np.int64)
         for key, val in counts.items():
-            K = frozenset(key)
-            if K not in lookup:
+            mask = subset_mask(leaves, key) if set(key) <= set(leaves) else 0
+            if not 0 < mask <= len(self.subsets):
                 raise ValueError(f"{set(key)} is not a nonempty proper leaf subset")
             if val < 0:
                 raise ValueError("counts must be nonnegative")
-            vec[lookup[K]] = val
+            vec[mask - 1] = val
         return float(self.logpmf_array(vec[None, :])[0])
 
     def logpmf_array(self, counts: np.ndarray) -> np.ndarray:

@@ -380,13 +380,11 @@ class SurvivalTable:
     """Per-vertex survival probabilities for loss rate ``rho``.
 
     ``p[v]`` is the probability that a spacer present at vertex ``v``
-    survives to at least one leaf above ``v``; ``q[v] = 1 - p[v]`` is the
-    probability of loss along every path.
+    survives to at least one leaf above ``v``.
     """
 
     rho: float
     p: tuple[float, ...]
-    q: tuple[float, ...]
 
 
 def survival(tree: UltrametricTree, rho: float) -> SurvivalTable:
@@ -402,7 +400,7 @@ def survival(tree: UltrametricTree, rho: float) -> SurvivalTable:
             for c in tree.children[v]:
                 prod *= 1.0 - p[c] * math.exp(-rho * tree.length[c])
             p[v] = 1.0 - prod
-    return SurvivalTable(rho=rho, p=tuple(p), q=tuple(1.0 - x for x in p))
+    return SurvivalTable(rho=rho, p=tuple(p))
 
 
 def p_exact_subset(

@@ -14,6 +14,7 @@ with more equal spacers have shorter gaps.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import stats as sps
 
 from . import likelihood
-from .equal_spacers import gap_decomposition
+from .equal_spacers import leaf_masks, mask_gaps, subset_mask
 from .process import ModelParams, mix_seed, simulate_tree
 from .tree import UltrametricTree, parse_newick, poisson_mean_new
 
@@ -53,31 +54,25 @@ def sample_gaps(tree: UltrametricTree, params: ModelParams, seeds: Iterable[int]
     classes = tuple(
         frozenset(K) for size in range(1, len(leaves)) for K in combinations(leaves, size)
     )
-    first_gaps: dict[tuple[int, ...], int] = {}
-    n_gaps = 0
-    new_counts = dict.fromkeys(classes, 0)
+    class_masks = tuple(subset_mask(leaves, K) for K in classes)
+    first_gaps: Counter = Counter()
+    new_counts: Counter = Counter()
     for seed in seeds:
         sim = simulate_tree(tree, params, seed)
-        gd = gap_decomposition(sim.arrays)
-        if gd.m >= 2:
-            key = tuple(gd.counts.get(K, (0,) * gd.m)[1] for K in classes)
-            first_gaps[key] = first_gaps.get(key, 0) + 1
-            n_gaps += 1
+        masks = leaf_masks(sim.arrays)
+        m, gaps = mask_gaps(sim.arrays, masks)
+        if m >= 2:
+            first_gaps[tuple(gaps[k][1] if k in gaps else 0 for k in class_masks)] += 1
         root = set(sim.root_array)
-        member: dict[int, list[str]] = {}
-        for leaf in leaves:
-            for s in sim.arrays[leaf]:
-                if s not in root:
-                    member.setdefault(s, []).append(leaf)
         # a spacer gained below the root never reaches every leaf
-        for holders in member.values():
-            new_counts[frozenset(holders)] += 1
-    return GapSample(classes, first_gaps, n_gaps, new_counts)
+        new_counts.update(k for s, k in masks.items() if s not in root)
+    new_totals = {K: new_counts[k] for K, k in zip(classes, class_masks)}
+    return GapSample(classes, dict(first_gaps), sum(first_gaps.values()), new_totals)
 
 
 def chisquare_from_counts(observed: dict, probs: dict, total: int, min_expected=5.0):
-    """Chi-square of observed category counts against model probabilities,
-    pooling low-expectation cells."""
+    """Chi-square of the first-gap counts of ``total`` replicates with M >= 2
+    against model probabilities, pooling low-expectation cells."""
     keys = sorted(probs, key=lambda k: -probs[k])
     obs, exp = [], []
     pool_o, pool_e = 0.0, 0.0
@@ -96,6 +91,10 @@ def chisquare_from_counts(observed: dict, probs: dict, total: int, min_expected=
     if pool_e > 0:
         obs.append(pool_o)
         exp.append(pool_e)
+    if len(exp) < 2:  # no degrees of freedom: the p-value would be NaN
+        raise ValueError(
+            f"{total} trials had M >= 2, too few for a chi-square; raise --trials or theta/rho"
+        )
     exp = np.asarray(exp, dtype=float)
     exp *= total / exp.sum()
     chi2, p = sps.chisquare(np.asarray(obs, dtype=float), exp)

@@ -168,6 +168,18 @@ def test_validate_rejects_tiny_trials():
     ) == 2
 
 
+def test_validate_without_chisquare_cells_fails(capsys):
+    # no replicate has two equal spacers: the chi-square has no cells, and
+    # its NaN p-value used to pass with exit 0
+    assert run_cli(
+        "validate", "--rho", "2", "--theta", "5", "--T", "1", "--Tprime", "0.9",
+        "--trials", "2000", "--seed", "0",
+    ) == 2
+    err = capsys.readouterr().err
+    assert "0 trials had M >= 2" in err
+    assert "--trials" in err
+
+
 def test_estimate_rejects_moments_method(tmp_path):
     stats = tmp_path / "stats.csv"
     write(stats, "replicate,M,D\n1,5,3\n")

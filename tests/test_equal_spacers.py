@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,7 +36,6 @@ def test_gap_decomposition_pair():
     arrays = {"1": [10, 5, 7, 3], "2": [5, 9, 3]}
     gd = gap_decomposition(arrays)
     assert gd.m == 2
-    assert gd.shared_positions == {"1": (2, 4), "2": (1, 3)}
     assert gd.counts[frozenset({"1"})] == (1, 1)
     assert gd.counts[frozenset({"2"})] == (0, 1)
 
@@ -144,3 +145,103 @@ def test_stats_invariant_under_leaf_relabeling(seed):
     a = triple_stats(sim.arrays, ("1", "2"))
     b = triple_stats(swapped, ("1", "2"))
     assert (a.m, a.d1, a.d2, a.d3, a.d4) == (b.m, b.d1, b.d2, b.d3, b.d4)
+
+
+# -- brute-force reference, written from the definitions ----------------
+
+
+def _exact_subset_tokens(arrays, K, L):
+    """Tokens held by every leaf of K and by no leaf of L \\ K."""
+    tokens = set.intersection(*(set(arrays[k]) for k in K))
+    for other in set(L) - set(K):
+        tokens -= set(arrays[other])
+    return tokens
+
+
+def _reference_decomposition(arrays):
+    labels = sorted(arrays)
+    equal = _exact_subset_tokens(arrays, labels, labels)
+    m = len(equal)
+    counts = {}
+    for size in range(1, len(labels)):
+        for K in combinations(labels, size):
+            row = [0] * m
+            first = arrays[K[0]]  # the first holder by label
+            for s in _exact_subset_tokens(arrays, K, labels):
+                gap = sum(1 for t in first[: first.index(s)] if t in equal)
+                if gap < m:
+                    row[gap] += 1
+            if any(row):
+                counts[frozenset(K)] = tuple(row)
+    return m, counts
+
+
+def _reference_pair(arrays):
+    m, _ = _reference_decomposition(arrays)
+    equal = _exact_subset_tokens(arrays, list(arrays), list(arrays))
+    before = []
+    for lab in sorted(arrays):
+        arr = arrays[lab]
+        # unshared spacers preceding each equal spacer, in array order
+        before.append(tuple(
+            sum(1 for t in arr[:i] if t not in equal) for i, s in enumerate(arr) if s in equal
+        ))
+    v, w = before
+    d = (v[-1] - v[0]) + (w[-1] - w[0]) if m >= 2 else None
+    return m, v, w, d
+
+
+def _reference_triple(arrays, cherry):
+    m, counts = _reference_decomposition(arrays)
+    if m < 2:
+        return m, None, None, None, None
+    f1, f2 = cherry
+    (f3,) = set(arrays) - {f1, f2}
+
+    def interior(*K):
+        return sum(counts.get(frozenset(K), (0,) * m)[1:])
+
+    return (
+        m,
+        interior(f1) + interior(f2),
+        interior(f3),
+        interior(f1, f2),
+        interior(f1, f3) + interior(f2, f3),
+    )
+
+
+@st.composite
+def _leaf_arrays(draw):
+    """2-6 arrays, in shuffled label order, each holding about 3/4 of a
+    token pool in a shared or its own order; arrays may be empty."""
+    # labels chosen so that string order differs from numeric order
+    labels = draw(st.permutations(["1", "2", "10", "a", "B", "x3"]))[: draw(st.integers(2, 6))]
+    pool = list(range(draw(st.integers(0, 12))))
+    shared_order = draw(st.booleans())
+    arrays = {}
+    for lab in labels:
+        order = pool if shared_order else draw(st.permutations(pool))
+        keep = draw(st.lists(st.integers(0, 3), min_size=len(pool), max_size=len(pool)))
+        arrays[lab] = [s for s, k in zip(order, keep) if k]
+    return arrays
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leaf_arrays(), st.data())
+def test_membership_pass_matches_reference(arrays, data):
+    labels = list(arrays)
+    gd = gap_decomposition(arrays)
+    assert (gd.m, gd.counts) == _reference_decomposition(arrays)
+    K = data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    L = data.draw(st.sets(st.sampled_from(labels))) | set(K)
+    want = _exact_subset_tokens(arrays, K, L)
+    assert equal_indices(arrays, K, L) == {
+        k: [i + 1 for i, s in enumerate(arrays[k]) if s in want] for k in sorted(K)
+    }
+    if len(arrays) == 2:
+        st_ = pair_stats(arrays)
+        assert (st_.m, st_.v, st_.w, st_.d) == _reference_pair(arrays)
+    if len(arrays) == 3:
+        cherry = tuple(data.draw(st.permutations(labels))[:2])
+        st_ = triple_stats(arrays, cherry)
+        assert (st_.m, st_.d1, st_.d2, st_.d3, st_.d4) == _reference_triple(arrays, cherry)

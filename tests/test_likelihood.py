@@ -186,8 +186,9 @@ def test_general_law_matches_triple_point():
 
 def test_general_law_rejects_full_subset():
     law = GeneralGapLaw(parse_newick("(1:1,2:1);"), 1.0)
-    with pytest.raises(ValueError):
-        law.logpmf({frozenset({"1", "2"}): 1})
+    for key in ({"1", "2"}, {"1", "9"}, set()):
+        with pytest.raises(ValueError):
+            law.logpmf({frozenset(key): 1})
 
 
 def test_general_law_array_matches_scalar():
