@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ValueError("replicate count must be >= 1")
         if any(r <= 0 for r in self.rho_grid):
             raise ValueError("rho grid values must be positive")
+        if len(set(self.rho_grid)) != len(self.rho_grid):
+            raise ValueError("rho grid values must be distinct")
 
 
 def _fmt(x: float) -> str:
@@ -78,6 +80,12 @@ def _n_workers() -> int:
 
 class CliError(Exception):
     """Input error; reported with exit code 2."""
+
+
+def _bad_row(path: str, reader: csv.DictReader, row: dict) -> CliError:
+    """The error for the row just read when a field is missing or not an integer."""
+    got = ", ".join(f"{k}={row[k]!r}" for k in reader.fieldnames)
+    return CliError(f"{path}, line {reader.line_num}: expected integers, got {got}")
 
 
 # -- simulate ----------------------------------------------------------
@@ -129,14 +137,17 @@ def _read_arrays(path: str) -> dict[int, dict[str, tuple[int, ...]]]:
         if reader.fieldnames != ["replicate", "leaf", "position", "spacer"]:
             raise CliError(f"unexpected arrays header in {path}: {reader.fieldnames}")
         for row in reader:
-            rep = int(row["replicate"])
+            try:
+                rep, pos, spacer = int(row["replicate"]), int(row["position"]), int(row["spacer"])
+            except (TypeError, ValueError):
+                raise _bad_row(path, reader, row) from None
             leaf = row["leaf"]
             arr = replicates.setdefault(rep, {}).setdefault(leaf, [])
-            if int(row["position"]) != len(arr) + 1:
+            if pos != len(arr) + 1:
                 raise CliError(
                     f"non-contiguous positions for replicate {rep}, leaf {leaf!r}"
                 )
-            arr.append(int(row["spacer"]))
+            arr.append(spacer)
     return {
         rep: {leaf: tuple(a) for leaf, a in leaves.items()}
         for rep, leaves in replicates.items()
@@ -162,6 +173,8 @@ def _tree_of(trees: list[UltrametricTree], rep: int) -> UltrametricTree:
 
 def cmd_stats(args) -> int:
     replicates = _read_arrays(args.arrays)
+    if not replicates:
+        raise CliError(f"{args.arrays} has no replicates")
     reps = sorted(replicates)
     trees = _read_trees(args.trees, max(reps)) if args.trees else None
     sizes = {len(v) for v in replicates.values()}
@@ -207,16 +220,19 @@ def _times_from_tree(t: UltrametricTree) -> tuple[float, float | None]:
 def cmd_estimate(args) -> int:
     with open(args.stats, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = list(reader)
         header = reader.fieldnames or []
-    is_pair = header == ["replicate", "M", "D"]
-    is_triple = header == ["replicate", "M", "D1", "D2", "D3", "D4"]
-    if not (is_pair or is_triple):
-        raise CliError(f"unrecognized stats header {header}")
-    method = args.method or ("pair" if is_pair else "triple")
-    if method == "pair" and not is_pair or method == "triple" and not is_triple:
-        raise CliError(f"--method {method} does not match stats columns")
-    reps = [int(row["replicate"]) for row in rows]
+        is_pair = header == ["replicate", "M", "D"]
+        if not (is_pair or header == ["replicate", "M", "D1", "D2", "D3", "D4"]):
+            raise CliError(f"unrecognized stats header {header}")
+        rows = []  # (replicate, M, statistics or None when M < 2)
+        for row in reader:
+            try:
+                rep, m = int(row["replicate"]), int(row["M"])
+                ds = None if row[header[2]] == "" else [int(row[k]) for k in header[2:]]
+            except (TypeError, ValueError):
+                raise _bad_row(args.stats, reader, row) from None
+            rows.append((rep, m, ds))
+    reps = [rep for rep, _, _ in rows]
     trees = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
     arrays = _read_arrays(args.arrays) if args.arrays else None
     with open(args.out, "w", newline="") as fh:
@@ -224,27 +240,22 @@ def cmd_estimate(args) -> int:
         writer.writerow(
             ["replicate", "rho_hat", "theta_hat", "loglik", "boundary", "skipped_reason"]
         )
-        for rep, row in zip(reps, rows):
+        for rep, m, ds in rows:
             if trees is not None:
                 T, T_prime = _times_from_tree(_tree_of(trees, rep))
             else:
                 if args.T is None:
                     raise CliError("need --trees or --T")
                 T, T_prime = args.T, args.Tprime
-            m = int(row["M"])
             try:
+                if ds is None:
+                    raise InsufficientDataError
                 if is_pair:
-                    if row["D"] == "":
-                        raise InsufficientDataError
-                    res = estimate_rho_pair(m, int(row["D"]), T)
+                    res = estimate_rho_pair(m, *ds, T)
                 else:
-                    if row["D1"] == "":
-                        raise InsufficientDataError
                     if T_prime is None:
                         raise CliError("triple estimation needs --Tprime or --trees")
-                    res = estimate_rho_triple(
-                        m, *(int(row[f"D{j}"]) for j in range(1, 5)), T, T_prime
-                    )
+                    res = estimate_rho_triple(m, *ds, T, T_prime)
             except InsufficientDataError:
                 writer.writerow([rep, "", "", "", "", "M<2"])
                 continue
@@ -412,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", default=None)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--Tprime", type=float, default=None)
-    p.add_argument("--method", choices=["pair", "triple"], default=None)
     p.add_argument("--arrays", default=None, help="enables the theta moment estimate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)

@@ -4,9 +4,10 @@ Positions are 1-based, counted from the leader end.  A spacer is "equal"
 when it appears in every sampled array; the gap decomposition counts, for
 each segment between consecutive equal spacers, the spacers present in
 exactly each proper leaf subset.  Membership is one pass,
-:func:`leaf_masks`: bit i of a spacer's mask is the i-th leaf label in
-sorted order (``UltrametricTree.leaves``).  A spacer held by exactly a
-proper subset K is counted once, in the gap of its first holder by label.
+:func:`leaf_masks`, giving each spacer the mask of the leaves holding it
+in the leaf-bit order of :mod:`spacerloss.tree`.  A spacer held by
+exactly a proper subset K is counted once, in the gap of its first
+holder by label.
 
 Statistics for estimation are taken over interior gaps only (between the
 first and last equal spacer); the leader-side segment mixes old and new
@@ -20,6 +21,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
+
+from .tree import mask_subset, subset_mask
 
 __all__ = [
     "GapDecomposition",
@@ -44,16 +47,6 @@ def leaf_masks(arrays: Arrays) -> dict[int, int]:
                 raise ValueError(f"duplicate spacer {s} in array {lab!r}")
             masks[s] = mask | 1 << i
     return masks
-
-
-def subset_mask(leaves: Sequence[str], K) -> int:
-    """Mask of the leaf subset K of the sorted ``leaves``; ValueError for an unknown label."""
-    return sum(1 << leaves.index(k) for k in set(K))
-
-
-def mask_subset(leaves: Sequence[str], mask: int) -> frozenset:
-    """The leaf subset of ``mask``; inverse of :func:`subset_mask`."""
-    return frozenset(lab for i, lab in enumerate(leaves) if mask >> i & 1)
 
 
 def equal_indices(arrays: Arrays, K, L=None) -> dict[str, list[int]]:
@@ -138,13 +131,12 @@ class PairStats:
 def pair_stats(arrays: Arrays) -> PairStats:
     if len(arrays) != 2:
         raise ValueError("pair_stats requires exactly 2 leaf arrays")
-    gd = gap_decomposition(arrays)
-    l1, l2 = sorted(arrays)
-    # every unshared spacer of a pair is held by one leaf only
-    v = tuple(accumulate(gd.counts.get(frozenset({l1}), (0,) * gd.m)))
-    w = tuple(accumulate(gd.counts.get(frozenset({l2}), (0,) * gd.m)))
-    d = (v[-1] - v[0]) + (w[-1] - w[0]) if gd.m >= 2 else None
-    return PairStats(m=gd.m, v=v, w=w, d=d)
+    m, counts = mask_gaps(arrays, leaf_masks(arrays))
+    # every unshared spacer of a pair is held by one leaf only: mask 1 or 2
+    v = tuple(accumulate(counts[1]))
+    w = tuple(accumulate(counts[2]))
+    d = (v[-1] - v[0]) + (w[-1] - w[0]) if m >= 2 else None
+    return PairStats(m=m, v=v, w=w, d=d)
 
 
 @dataclass(frozen=True)
@@ -172,15 +164,16 @@ def triple_stats(arrays: Arrays, cherry: tuple[str, str]) -> TripleStats:
         raise ValueError("triple_stats requires exactly 3 leaf arrays")
     f1, f2 = cherry
     (f3,) = set(arrays) - {f1, f2}
-    gd = gap_decomposition(arrays)
-    if gd.m < 2:
-        return TripleStats(m=gd.m, d1=None, d2=None, d3=None, d4=None)
+    m, counts = mask_gaps(arrays, leaf_masks(arrays))
+    if m < 2:
+        return TripleStats(m=m, d1=None, d2=None, d3=None, d4=None)
+    leaves = sorted(arrays)
 
     def interior(K) -> int:
-        return sum(gd.counts.get(frozenset(K), (0,) * gd.m)[1:])
+        return sum(counts[subset_mask(leaves, K)][1:])
 
     return TripleStats(
-        m=gd.m,
+        m=m,
         d1=interior({f1}) + interior({f2}),
         d2=interior({f3}),
         d3=interior({f1, f2}),

@@ -40,7 +40,6 @@ class InsufficientDataError(ValueError):
 @dataclass(frozen=True)
 class EstimateResult:
     rho_hat: float
-    theta_hat: float | None
     loglik: float
     method: str
     boundary: bool
@@ -107,7 +106,6 @@ def estimate_rho_pair(m: int, d: int, T: float) -> EstimateResult:
     )  # at rho = 0 every gap is empty with probability 1
     return EstimateResult(
         rho_hat=rho_star,
-        theta_hat=None,
         loglik=loglik,
         method="pair-closed-form",
         boundary=boundary,
@@ -142,7 +140,6 @@ def estimate_rho_triple(
     if all(d == 0 for d in (d1, d2, d3, d4)):
         return EstimateResult(
             rho_hat=0.0,
-            theta_hat=None,
             loglik=0.0,
             method="triple-numeric",
             boundary=True,
@@ -161,7 +158,6 @@ def estimate_rho_triple(
     suspect = abs(grid_best - rho_hat) > max(10 * TRIPLE_TOL, (upper - lower) / 150)
     return EstimateResult(
         rho_hat=rho_hat,
-        theta_hat=None,
         loglik=value,
         method="triple-numeric",
         boundary=boundary,

@@ -20,8 +20,9 @@ from typing import Mapping
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .equal_spacers import mask_subset, subset_mask
-from .tree import UltrametricTree, p_exact_subset, spanning_length, survival
+from .tree import (
+    UltrametricTree, mask_subset, p_exact_subset, spanning_length, subset_mask, survival
+)
 
 __all__ = [
     "GeneralGapLaw",
@@ -234,7 +235,7 @@ class GeneralGapLaw:
     """Per-subset survival probabilities for the general-n gap law.
 
     ``subsets[mask - 1]`` is the nonempty proper leaf subset of ``mask``
-    (see :mod:`spacerloss.equal_spacers`); ``log_p_subset[i]`` is the
+    (leaf-bit order of :mod:`spacerloss.tree`); ``log_p_subset[i]`` is the
     log-probability that a root spacer survives to exactly
     ``subsets[i]``; ``log_p_root`` is log p(r) and ``neg_rho_lambda`` is
     -rho * (total tree length).

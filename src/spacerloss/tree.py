@@ -9,8 +9,14 @@ between threads.
 Conventions
 -----------
 * branch lengths are in coalescent time units; rates are per unit length
-* child order is normalized by smallest descendant leaf label, so
-  ``to_newick`` is canonical
+* leaf bits: ``tree.leaves`` is the tuple of leaf labels in sorted string
+  order, and bit i of a leaf mask stands for ``leaves[i]``.
+  ``tree.below[v]`` is the mask of the leaves under node v;
+  :func:`subset_mask` and :func:`mask_subset` convert between label
+  subsets and masks.  Every mask in the package (equal-spacer counts,
+  the general-n law, validation) uses this order
+* child order is normalized by smallest descendant leaf label (the lowest
+  leaf bit), so ``to_newick`` is canonical
 * ultrametricity is checked with relative tolerance 1e-9 and violations
   are rejected, never repaired
 """
@@ -18,8 +24,9 @@ Conventions
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +40,8 @@ __all__ = [
     "parse_newick",
     "to_newick",
     "sample_coalescent",
+    "subset_mask",
+    "mask_subset",
     "mrca",
     "spanning_length",
     "survival",
@@ -53,13 +62,31 @@ class NewickError(TreeError):
         self.position = position
 
 
+def subset_mask(leaves: Sequence[str], K: Iterable[str]) -> int:
+    """Mask of the leaf subset K of the sorted ``leaves``; TreeError for an unknown label."""
+    mask = 0
+    for k in K:
+        i = bisect_left(leaves, k)
+        if i == len(leaves) or leaves[i] != k:
+            raise TreeError(f"unknown leaf label {k!r}")
+        mask |= 1 << i
+    return mask
+
+
+def mask_subset(leaves: Sequence[str], mask: int) -> frozenset:
+    """The leaf subset of ``mask``; inverse of :func:`subset_mask`."""
+    return frozenset(lab for i, lab in enumerate(leaves) if mask >> i & 1)
+
+
 @dataclass(frozen=True)
 class UltrametricTree:
     """Rooted binary ultrametric tree with branch lengths.
 
     ``parent[i]`` is -1 for the root; ``length[i]`` is the branch length
     above node ``i`` (0.0 for the root, unused).  ``label[i]`` is the leaf
-    label or '' for internal nodes.
+    label or '' for internal nodes.  ``leaves``, ``below`` (see the module
+    conventions) and ``height``, the common root-to-leaf distance, are
+    derived once by :meth:`build`.
     """
 
     parent: tuple[int, ...]
@@ -68,6 +95,9 @@ class UltrametricTree:
     label: tuple[str, ...]
     root: int
     leaf_ids: Mapping[str, int] = field(repr=False)
+    leaves: tuple[str, ...]
+    below: tuple[int, ...] = field(repr=False)
+    height: float
 
     @staticmethod
     def build(parent: list[int], length: list[float], label: list[str]) -> "UltrametricTree":
@@ -94,37 +124,45 @@ class UltrametricTree:
                 continue
             if not (length[i] > 0.0 and math.isfinite(length[i])):
                 raise TreeError(f"branch length above node {i} must be positive and finite")
-        labels = [l for l in label if l]
-        if len(set(labels)) != len(labels):
+        leaves = sorted(l for l in label if l)
+        if len(set(leaves)) != len(leaves):
             raise TreeError("leaf labels must be unique")
+        leaf_ids = {label[i]: i for i in range(n) if label[i]}
 
-        # normalize child order by smallest descendant leaf label; parents
-        # precede children in ``order``, so reversing it visits children first
-        min_label = ["" for _ in range(n)]
+        # parents precede children in ``order``: depths accumulate forward,
+        # leaf masks backward, and children sort by their lowest leaf bit,
+        # which is their smallest leaf label
+        bit = {lab: 1 << i for i, lab in enumerate(leaves)}
+        below = [bit.get(lab, 0) for lab in label]
+        depth = [0.0] * n
         order = [root]
         for i in order:
             order.extend(children[i])
+            if i != root:
+                depth[i] = depth[parent[i]] + length[i]
         for i in reversed(order):
-            min_label[i] = label[i] or min(min_label[c] for c in children[i])
-        for i in range(n):
-            children[i].sort(key=lambda c: min_label[c])
+            if children[i]:
+                children[i].sort(key=lambda c: below[c] & -below[c])
+                below[i] = below[children[i][0]] | below[children[i][1]]
 
-        tree = UltrametricTree(
+        height = max(depth[leaf_ids[lab]] for lab in leaves)
+        for lab in leaves:
+            d = depth[leaf_ids[lab]]
+            if abs(d - height) > ULTRAMETRIC_RTOL * max(height, 1.0):
+                raise TreeError(
+                    f"tree is not ultrametric: leaf {lab!r} at depth {d!r}, others at {height!r}"
+                )
+        return UltrametricTree(
             parent=tuple(parent),
             length=tuple(length),
             children=tuple(tuple(c) for c in children),
             label=tuple(label),
             root=root,
-            leaf_ids={label[i]: i for i in range(n) if label[i]},
+            leaf_ids=leaf_ids,
+            leaves=tuple(leaves),
+            below=tuple(below),
+            height=height,
         )
-        depths = tree.leaf_depths()
-        dmax = max(depths.values())
-        for lab, d in depths.items():
-            if abs(d - dmax) > ULTRAMETRIC_RTOL * max(dmax, 1.0):
-                raise TreeError(
-                    f"tree is not ultrametric: leaf {lab!r} at depth {d!r}, others at {dmax!r}"
-                )
-        return tree
 
     # -- basic queries -------------------------------------------------
 
@@ -132,27 +170,8 @@ class UltrametricTree:
     def n_nodes(self) -> int:
         return len(self.parent)
 
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(sorted(self.leaf_ids))
-
     def is_leaf(self, v: int) -> bool:
         return bool(self.label[v])
-
-    def leaf_depths(self) -> dict[str, float]:
-        depth = [0.0] * self.n_nodes
-        out = {}
-        for v in self.preorder():
-            if v != self.root:
-                depth[v] = depth[self.parent[v]] + self.length[v]
-            if self.label[v]:
-                out[self.label[v]] = depth[v]
-        return out
-
-    @property
-    def height(self) -> float:
-        """Root-to-leaf distance (the common depth of all leaves)."""
-        return max(self.leaf_depths().values())
 
     def preorder(self) -> list[int]:
         order, stack = [], [self.root]
@@ -166,39 +185,15 @@ class UltrametricTree:
         return self.preorder()[::-1]
 
     def leaves_below(self, v: int) -> frozenset[str]:
-        out, stack = [], [v]
-        while stack:
-            w = stack.pop()
-            if self.label[w]:
-                out.append(self.label[w])
-            stack.extend(self.children[w])
-        return frozenset(out)
-
-    def _leaf_nodes(self, K: Iterable[str]) -> list[int]:
-        ids = []
-        for lab in K:
-            if lab not in self.leaf_ids:
-                raise TreeError(f"unknown leaf label {lab!r}")
-            ids.append(self.leaf_ids[lab])
-        if not ids:
-            raise TreeError("leaf subset must be nonempty")
-        return ids
-
-    def path_to_root(self, v: int) -> list[int]:
-        path = [v]
-        while self.parent[path[-1]] >= 0:
-            path.append(self.parent[path[-1]])
-        return path
+        return mask_subset(self.leaves, self.below[v])
 
     def cherry(self) -> tuple[str, str]:
         """For a 3-leaf tree, the two leaves below the non-root internal node."""
-        if len(self.leaf_ids) != 3:
+        if len(self.leaves) != 3:
             raise TreeError("cherry() is defined for 3-leaf trees")
-        for v in range(self.n_nodes):
-            if v != self.root and not self.label[v]:
-                pair = sorted(self.leaves_below(v))
-                return pair[0], pair[1]
-        raise TreeError("no internal vertex found")  # pragma: no cover
+        inner = max(self.children[self.root], key=lambda c: self.below[c].bit_count())
+        f1, f2 = (lab for i, lab in enumerate(self.leaves) if self.below[inner] >> i & 1)
+        return f1, f2
 
 
 # -- Newick I/O --------------------------------------------------------
@@ -340,39 +335,45 @@ def sample_coalescent(n: int, seed=None) -> UltrametricTree:
 # -- tree-geometric quantities ----------------------------------------
 
 
+def _leaf_mask(tree: UltrametricTree, K: Iterable[str]) -> int:
+    mask = subset_mask(tree.leaves, K)
+    if not mask:
+        raise TreeError("leaf subset must be nonempty")
+    return mask
+
+
 def mrca(tree: UltrametricTree, K: Iterable[str]) -> int:
     """Most recent common ancestor (node id) of the leaf subset ``K``."""
-    ids = tree._leaf_nodes(K)
-    common = set(tree.path_to_root(ids[0]))
-    for v in ids[1:]:
-        common &= set(tree.path_to_root(v))
-    # deepest common ancestor = first along any member's path to the root
-    for w in tree.path_to_root(ids[0]):
-        if w in common:
-            return w
-    raise TreeError("disconnected tree")  # pragma: no cover
+    k = _leaf_mask(tree, K)
+    w = tree.leaf_ids[tree.leaves[(k & -k).bit_length() - 1]]
+    while tree.below[w] & k != k:
+        w = tree.parent[w]
+    return w
 
 
-def _spanning_nodes(tree: UltrametricTree, v: int, K: Iterable[str]) -> set[int]:
-    """Nodes whose parent edge lies on some path from ``v`` up to a leaf of
-    ``K``, plus ``v`` itself.  Raises if ``v`` is not ancestral to all of K."""
-    nodes = {v}
-    for leaf in tree._leaf_nodes(K):
-        path = []
-        w = leaf
-        while w != v:
-            path.append(w)
-            w = tree.parent[w]
-            if w < 0:
-                raise TreeError(f"vertex {v} is not ancestral to leaf {tree.label[leaf]!r}")
-        nodes.update(path)
-    return nodes
+def _span(tree: UltrametricTree, v: int, k: int) -> tuple[list[int], list[int]]:
+    """The nodes below ``v`` whose parent edge lies on a path from ``v`` to a
+    leaf of mask ``k``, and the roots of the subtrees hanging off those
+    paths.  Raises if ``v`` is not ancestral to all of k."""
+    missing = k & ~tree.below[v]
+    if missing:
+        lab = tree.leaves[(missing & -missing).bit_length() - 1]
+        raise TreeError(f"vertex {v} is not ancestral to leaf {lab!r}")
+    inside, hanging, stack = [], [], [v]
+    while stack:
+        for c in tree.children[stack.pop()]:
+            if tree.below[c] & k:
+                inside.append(c)
+                stack.append(c)
+            else:
+                hanging.append(c)
+    return inside, hanging
 
 
 def spanning_length(tree: UltrametricTree, v: int, K: Iterable[str]) -> float:
     """Total edge length of the subtree spanning ``v`` and the leaves of K."""
-    nodes = _spanning_nodes(tree, v, K)
-    return sum(tree.length[w] for w in nodes if w != v)
+    inside, _ = _span(tree, v, _leaf_mask(tree, K))
+    return sum(tree.length[w] for w in inside)
 
 
 @dataclass(frozen=True)
@@ -421,13 +422,10 @@ def p_exact_subset(
         table = survival(tree, rho)
     elif table.rho != rho:
         raise ValueError("survival table was computed for a different rho")
-    nodes = _spanning_nodes(tree, v, K)
-    span = sum(tree.length[w] for w in nodes if w != v)
-    prob = math.exp(-rho * span)
-    for w in nodes:
-        for c in tree.children[w]:
-            if c not in nodes:
-                prob *= 1.0 - table.p[c] * math.exp(-rho * tree.length[c])
+    inside, hanging = _span(tree, v, _leaf_mask(tree, K))
+    prob = math.exp(-rho * sum(tree.length[w] for w in inside))
+    for c in hanging:
+        prob *= 1.0 - table.p[c] * math.exp(-rho * tree.length[c])
     return prob
 
 
@@ -452,12 +450,9 @@ def poisson_mean_new(
     if table is None:
         table = survival(tree, rho)
     K = list(K)
-    v_K = mrca(tree, K)
     total = 0.0
-    w = v_K
+    w = mrca(tree, K)
     while w != tree.root:
-        total += (1.0 - math.exp(-rho * tree.length[w])) * p_exact_subset(
-            tree, rho, w, K, table
-        )
+        total += (1.0 - math.exp(-rho * tree.length[w])) * p_exact_subset(tree, rho, w, K, table)
         w = tree.parent[w]
     return theta / rho * total

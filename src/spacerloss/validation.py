@@ -23,9 +23,9 @@ import numpy as np
 from scipy import stats as sps
 
 from . import likelihood
-from .equal_spacers import leaf_masks, mask_gaps, subset_mask
+from .equal_spacers import leaf_masks, mask_gaps
 from .process import ModelParams, mix_seed, simulate_tree
-from .tree import UltrametricTree, parse_newick, poisson_mean_new
+from .tree import UltrametricTree, parse_newick, poisson_mean_new, subset_mask
 
 __all__ = ["GapSample", "chisquare_from_counts", "run_validation", "sample_gaps"]
 

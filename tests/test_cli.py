@@ -129,15 +129,6 @@ def test_malformed_newick_exit_code(tmp_path):
     ) == 2
 
 
-def test_estimate_method_mismatch(tmp_path):
-    stats = tmp_path / "stats.csv"
-    write(stats, "replicate,M,D\n1,5,3\n")
-    assert run_cli(
-        "estimate", "--stats", str(stats), "--T", "1", "--method", "triple",
-        "--out", str(tmp_path / "e.csv"),
-    ) == 2
-
-
 def test_validate_pair_passes():
     assert run_cli(
         "validate", "--rho", "0.6931471805599453", "--theta", "69.3",
@@ -189,6 +180,44 @@ def test_estimate_rejects_moments_method(tmp_path):
             "--out", str(tmp_path / "e.csv"),
         )
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad_row", ["1,1", "1,1,x,5", "1,1,1,"])
+def test_stats_rejects_malformed_arrays_row(tmp_path, capsys, bad_row):
+    arrays = tmp_path / "arrays.csv"
+    write(arrays, f"replicate,leaf,position,spacer\n1,1,1,5\n{bad_row}\n")
+    assert run_cli("stats", "--arrays", str(arrays), "--out", str(tmp_path / "s.csv")) == 2
+    assert f"{arrays}, line 3: expected integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["1,5", "1,x,3", "1,5,abc"])
+def test_estimate_rejects_malformed_stats_row(tmp_path, capsys, bad_row):
+    stats = tmp_path / "stats.csv"
+    write(stats, f"replicate,M,D\n{bad_row}\n")
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--T", "1", "--out", str(tmp_path / "e.csv"),
+    ) == 2
+    assert f"{stats}, line 2: expected integers" in capsys.readouterr().err
+
+
+def test_stats_rejects_arrays_without_replicates(tmp_path, capsys):
+    arrays = tmp_path / "arrays.csv"
+    write(arrays, "replicate,leaf,position,spacer\n")
+    tree = tmp_path / "tree.nwk"
+    write(tree, CHERRY + "\n")
+    assert run_cli(
+        "stats", "--arrays", str(arrays), "--trees", str(tree), "--out", str(tmp_path / "s.csv"),
+    ) == 2
+    assert f"{arrays} has no replicates" in capsys.readouterr().err
+
+
+def test_fig1_rejects_repeated_rho(tmp_path, capsys):
+    assert run_cli(
+        "replicate-fig1", "--n", "2", "--rho-grid", "1,1.0", "--replicates", "20",
+        "--out", str(tmp_path / "f.csv"),
+    ) == 2
+    assert "rho grid values must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def _simulate_pair_files(tmp_path):
@@ -270,6 +299,8 @@ def test_experiment_config_validation():
         ExperimentConfig(n=4, rho_grid=(1.0,), replicates=10, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n=2, rho_grid=(-1.0,), replicates=10, seed=0)
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentConfig(n=2, rho_grid=(0.5, 1.0, 0.5), replicates=10, seed=0)
 
 
 def _run_fig1(tmp_path, name, threads):

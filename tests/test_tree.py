@@ -1,5 +1,7 @@
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
@@ -7,6 +9,7 @@ from scipy import stats as sps
 from spacerloss.tree import (
     NewickError,
     TreeError,
+    UltrametricTree,
     mrca,
     p_exact_subset,
     parse_newick,
@@ -166,3 +169,123 @@ def test_poisson_mean_new_cherry_leaf():
         (1.0 - pTp) + (1.0 - pT / pTp) * pTp * (1.0 - pTp)
     )
     assert poisson_mean_new(t, theta, rho, ["1"]) == pytest.approx(want, rel=1e-12)
+
+
+# -- mask geometry against parent-pointer path walks --------------------
+
+# string order differs from numeric order ("10" < "9") and from case order
+LABELS = ("1", "2", "9", "10", "11", "100", "a", "B", "b", "Z")
+
+
+@st.composite
+def ultrametric_trees(draw):
+    """Random binary ultrametric trees of 2-9 leaves with shuffled node ids."""
+    n = draw(st.integers(2, 9))
+    labels = draw(st.permutations(LABELS))[:n]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.permutation(2 * n - 1).tolist()
+    parent, length, label = [-1] * (2 * n - 1), [0.0] * (2 * n - 1), [""] * (2 * n - 1)
+    age = [0.0] * (2 * n - 1)
+    active = ids[:n]
+    for v, lab in zip(active, labels):
+        label[v] = lab
+    t = 0.0
+    for p in ids[n:]:
+        t += float(rng.exponential())
+        i, j = rng.choice(len(active), size=2, replace=False)
+        pair = (active[i], active[j])
+        age[p] = t
+        for c in pair:
+            parent[c] = p
+            length[c] = t - age[c]
+        active = [x for x in active if x not in pair] + [p]
+    return UltrametricTree.build(parent, length, label)
+
+
+def ref_path(t, v):
+    path = [v]
+    while t.parent[path[-1]] >= 0:
+        path.append(t.parent[path[-1]])
+    return path
+
+
+def ref_children(t, v):
+    return [c for c in range(t.n_nodes) if t.parent[c] == v]
+
+
+def ref_leaves_below(t, v):
+    return frozenset(lab for lab, i in t.leaf_ids.items() if v in ref_path(t, i))
+
+
+def ref_mrca(t, K):
+    paths = [ref_path(t, t.leaf_ids[k]) for k in K]
+    return next(w for w in paths[0] if all(w in p for p in paths))
+
+
+def ref_span(t, v, K):
+    nodes = set()
+    for k in K:
+        path = ref_path(t, t.leaf_ids[k])
+        nodes.update(path[: path.index(v)])
+    return nodes
+
+
+def ref_p_exact(t, rho, v, K, table):
+    nodes = ref_span(t, v, K)
+    prob = math.exp(-rho * sum(t.length[w] for w in nodes))
+    for w in nodes | {v}:
+        for c in ref_children(t, w):
+            if c not in nodes:
+                prob *= 1.0 - table.p[c] * math.exp(-rho * t.length[c])
+    return prob
+
+
+def ref_newick(t, v):
+    if t.label[v]:
+        return t.label[v]
+    kids = sorted(ref_children(t, v), key=lambda c: min(ref_leaves_below(t, c)))
+    return "(%s)" % ",".join(f"{ref_newick(t, c)}:{t.length[c]:.12g}" for c in kids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ultrametric_trees(), st.floats(0.05, 5.0))
+def test_mask_geometry_matches_path_walks(t, rho):
+    leaves = sorted(t.leaf_ids)
+    assert t.leaves == tuple(leaves)
+    depths = []
+    for v in t.leaf_ids.values():
+        d = 0.0
+        for w in reversed(ref_path(t, v)[:-1]):
+            d += t.length[w]
+        depths.append(d)
+    assert t.height == max(depths)
+    for v in range(t.n_nodes):
+        assert t.leaves_below(v) == ref_leaves_below(t, v)
+    if len(leaves) == 3:
+        inner = next(v for v in range(t.n_nodes) if v != t.root and not t.label[v])
+        assert t.cherry() == tuple(sorted(ref_leaves_below(t, inner)))
+    assert to_newick(t) == ref_newick(t, t.root) + ";"
+
+    table = survival(t, rho)
+    for size in range(1, len(leaves) + 1):
+        for K in combinations(leaves, size):
+            v = mrca(t, K)
+            assert v == ref_mrca(t, K)
+            for w in (v, t.root):
+                assert spanning_length(t, w, K) == pytest.approx(
+                    sum(t.length[x] for x in ref_span(t, w, K)), rel=1e-12
+                )
+                assert p_exact_subset(t, rho, w, K, table) == pytest.approx(
+                    ref_p_exact(t, rho, w, K, table), rel=1e-12
+                )
+            want = sum(
+                (1.0 - math.exp(-rho * t.length[w])) * ref_p_exact(t, rho, w, K, table)
+                for w in ref_path(t, v)[:-1]
+            )
+            assert poisson_mean_new(t, 2.0, rho, K, table) == pytest.approx(
+                2.0 / rho * want, rel=1e-12, abs=1e-300
+            )
+            outside = [k for k in leaves if k not in K]
+            if outside:
+                with pytest.raises(TreeError, match="not ancestral"):
+                    spanning_length(t, t.leaf_ids[outside[0]], K)
