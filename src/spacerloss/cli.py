@@ -232,6 +232,7 @@ def cmd_estimate(args) -> int:
             except (TypeError, ValueError):
                 raise _bad_row(args.stats, reader, row) from None
             rows.append((rep, m, ds))
+    n_leaves = 2 if is_pair else 3
     reps = [rep for rep, _, _ in rows]
     trees = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
     arrays = _read_arrays(args.arrays) if args.arrays else None
@@ -242,7 +243,14 @@ def cmd_estimate(args) -> int:
         )
         for rep, m, ds in rows:
             if trees is not None:
-                T, T_prime = _times_from_tree(_tree_of(trees, rep))
+                t = _tree_of(trees, rep)
+                if len(t.leaves) != n_leaves:
+                    raise CliError(
+                        f"replicate {rep}: {'pair' if is_pair else 'triple'} statistics "
+                        f"({','.join(header)}) need a {n_leaves}-leaf tree, "
+                        f"but its tree has {len(t.leaves)} leaves"
+                    )
+                T, T_prime = _times_from_tree(t)
             else:
                 if args.T is None:
                     raise CliError("need --trees or --T")

@@ -1,7 +1,8 @@
 """Loss-rate estimation from equal-spacer statistics.
 
-The pair estimator has a closed form; the triple estimator maximizes the
-conditional log-likelihood numerically with a golden-section search.
+The pair estimator has a closed form; the triple estimator brackets the
+maximum of the conditional log-likelihood on a grid and solves for the
+root of its closed-form score inside the bracket by safeguarded Newton.
 Boundary optima are flagged, never silently returned as interior values,
 and datasets with fewer than two equal spacers are rejected with a typed
 error so experiment harnesses can count them.
@@ -13,7 +14,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .likelihood import pair_conditional_loglik, triple_conditional_loglik
+import numpy as np
+
+from .likelihood import (
+    pair_conditional_loglik, triple_conditional_loglik, triple_conditional_score
+)
 
 __all__ = [
     "EstimateResult",
@@ -22,15 +27,17 @@ __all__ = [
     "estimate_rho_triple",
     "estimate_theta_moment",
     "negbin_p_mle",
-    "maximize_scalar",
     "TRIPLE_BRACKET_LOW",
 ]
 
-# triple search: bracket lower end (the upper end is 50 / (T + T')) and tolerance
+# triple search: bracket lower end (the upper end is 50 / (T + T')), grid
+# size over the bracket, and the root-finder's tolerance and iteration cap
 TRIPLE_BRACKET_LOW = 1e-8
+TRIPLE_GRID_POINTS = 201
 TRIPLE_TOL = 1e-9
+TRIPLE_MAX_ITER = 100
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_UNIT_GRID = np.linspace(0.0, 1.0, TRIPLE_GRID_POINTS)
 
 
 class InsufficientDataError(ValueError):
@@ -46,49 +53,6 @@ class EstimateResult:
     diagnostics: Mapping = field(default_factory=dict)
 
 
-def maximize_scalar(
-    objective: Callable[[float], float],
-    lower: float,
-    upper: float,
-    tol: float,
-) -> tuple[float, float, bool]:
-    """Golden-section maximization on [lower, upper].
-
-    Returns (argmax, value, boundary_flag); the flag is set when the best
-    point lies within tol of an endpoint.  Assumes unimodality, not
-    differentiability.  Raises if the objective returns NaN anywhere
-    probed.
-    """
-    if not lower < upper:
-        raise ValueError("need lower < upper")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-
-    def f(x: float) -> float:
-        y = objective(x)
-        if math.isnan(y):
-            raise ValueError(f"objective returned NaN at {x}")
-        return y
-
-    a, b = lower, upper
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    candidates = [(fc, c), (fd, d), (f(lower), lower), (f(upper), upper)]
-    value, best = max(candidates)
-    boundary = best - lower <= tol or upper - best <= tol
-    return best, value, boundary
-
-
 def estimate_rho_pair(m: int, d: int, T: float) -> EstimateResult:
     """Closed-form MLE from a two-leaf sample: p* = (1 + d/(2(m-1)))^{-1},
     rho* = -log(p*)/T.  d = 0 gives the exact boundary value rho* = 0."""
@@ -99,8 +63,8 @@ def estimate_rho_pair(m: int, d: int, T: float) -> EstimateResult:
     if not T > 0:
         raise ValueError("T must be positive")
     p_star = 1.0 / (1.0 + d / (2.0 * (m - 1)))
-    rho_star = -math.log(p_star) / T
     boundary = d == 0
+    rho_star = 0.0 if boundary else -math.log(p_star) / T  # -log(1) / T is -0.0
     loglik = (
         pair_conditional_loglik(m, d, rho_star, T) if rho_star > 0 else 0.0
     )  # at rho = 0 every gap is empty with probability 1
@@ -131,8 +95,14 @@ def estimate_rho_triple(
     T: float,
     T_prime: float,
 ) -> EstimateResult:
-    """Numeric MLE from a three-leaf sample via golden-section search on
-    the conditional log-likelihood over [1e-8, 50/(T+T')]."""
+    """Numeric MLE from a three-leaf sample.
+
+    The conditional log-likelihood is evaluated in one array call on a
+    201-point grid over [1e-8, 50/(T+T')].  The two grid cells around the
+    best grid point bracket the maximum, and the estimate is the root of
+    the closed-form score inside them.  The grid bracket needs no
+    unimodality; ``diagnostics["multimodal_suspect"]`` reports whether the
+    grid log-likelihood has more than one local maximum."""
     if m < 2:
         raise InsufficientDataError("triple estimator requires m >= 2")
     if not (T >= T_prime > 0):
@@ -145,29 +115,71 @@ def estimate_rho_triple(
             boundary=True,
             diagnostics={"m": m, "d": (d1, d2, d3, d4)},
         )
-
-    def objective(rho: float) -> float:
-        return triple_conditional_loglik(m, d1, d2, d3, d4, rho, T, T_prime)
-
+    stats = (m, d1, d2, d3, d4)
     lower, upper = TRIPLE_BRACKET_LOW, 50.0 / (T + T_prime)
-    rho_hat, value, boundary = maximize_scalar(objective, lower, upper, TRIPLE_TOL)
-    # coarse-grid cross-check flags multimodality symptoms in diagnostics
-    grid_best = max(
-        (lower + k * (upper - lower) / 200 for k in range(201)), key=objective
+    if not lower < upper < math.inf:
+        raise ValueError("T + T_prime is out of range for the search bracket")
+    grid = lower + (upper - lower) * _UNIT_GRID
+    ll = triple_conditional_loglik(*stats, grid, T, T_prime)
+    k = int(np.argmax(ll))
+    rho_hat = _score_root(
+        lambda rho: triple_conditional_score(*stats, rho, T, T_prime),
+        float(grid[max(k - 1, 0)]),
+        float(grid[min(k + 1, TRIPLE_GRID_POINTS - 1)]),
+        float(grid[k]),
     )
-    suspect = abs(grid_best - rho_hat) > max(10 * TRIPLE_TOL, (upper - lower) / 150)
+    value = triple_conditional_loglik(*stats, rho_hat, T, T_prime)
+    if value < ll[k]:  # the root is a lesser stationary point: keep the grid's best
+        rho_hat, value = float(grid[k]), float(ll[k])
+    # local maxima of the grid log-likelihood, its two ends included
+    rises, falls = ll[1:] > ll[:-1], ll[1:] < ll[:-1]
+    peaks = np.count_nonzero(rises[:-1] & falls[1:]) + falls[0] + rises[-1]
     return EstimateResult(
         rho_hat=rho_hat,
         loglik=value,
         method="triple-numeric",
-        boundary=boundary,
+        boundary=rho_hat - lower <= TRIPLE_TOL or upper - rho_hat <= TRIPLE_TOL,
         diagnostics={
             "m": m,
             "d": (d1, d2, d3, d4),
-            "multimodal_suspect": suspect,
-            "grid_argmax": grid_best,
+            "multimodal_suspect": bool(peaks > 1),
+            "grid_argmax": float(grid[k]),
         },
     )
+
+
+def _score_root(
+    score: Callable[[float], tuple[float, float]], a: float, b: float, x: float
+) -> float:
+    """Root of a score that falls through zero on [a, b].
+
+    ``score`` returns the score and its derivative.  Newton steps start
+    from x; a step is replaced by bisection of the bracket when the
+    log-likelihood is not concave or the step leaves the bracket, and the
+    search stops when a step is within TRIPLE_TOL relative.  Without a
+    sign change it returns the end the log-likelihood rises toward: a when
+    the score at a is <= 0, else b."""
+    if not score(a)[0] > 0:
+        return a
+    if not score(b)[0] < 0:
+        return b
+    if not a < x < b:
+        x = 0.5 * (a + b)
+    for _ in range(TRIPLE_MAX_ITER):
+        s, h = score(x)
+        if s > 0:
+            a = x
+        elif s < 0:
+            b = x
+        else:
+            return x
+        x_new = x - s / h if h < 0 else 0.5 * (a + b)
+        if not a < x_new < b:
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= TRIPLE_TOL * x:
+            return x_new
+        x = x_new
+    return x
 
 
 def estimate_theta_moment(rho_hat: float, arrays: Mapping[str, Sequence]) -> float:

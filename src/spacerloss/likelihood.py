@@ -36,6 +36,7 @@ __all__ = [
     "general_gap_logpmf",
     "pair_conditional_loglik",
     "triple_conditional_loglik",
+    "triple_conditional_score",
 ]
 
 # beyond this, e^{-rho T} underflows; log-space terms stay finite
@@ -194,7 +195,64 @@ def triple_gap_pmf(a, b, c, d, e, f, rho: float, T: float, T_prime: float):
     return out if isinstance(out, np.ndarray) else float(out)
 
 
+def _check_triple_stats(m: int, ds, rho_positive: bool, T: float, T_prime: float) -> None:
+    """Argument checks shared by the triple conditional log-likelihood and
+    its score."""
+    if m < 2:
+        raise ValueError("need at least 2 equal spacers")
+    if min(ds) < 0:
+        raise ValueError("statistics must be nonnegative")
+    if not rho_positive:
+        raise ValueError("rho must be positive")
+    if not T > 0:
+        raise ValueError("T must be positive")
+    if not T_prime > 0:
+        raise ValueError("T_prime must be positive")
+    if T < T_prime:
+        raise ValueError("T must be >= T_prime")
+
+
 def triple_conditional_loglik(
+    m: int,
+    d1: int,
+    d2: int,
+    d3: int,
+    d4: int,
+    rho,
+    T: float,
+    T_prime: float,
+):
+    """Conditional log-likelihood of the interior gaps given m equal
+    spacers, as a function of the four sufficient statistics.  ``rho``
+    broadcasts over a numpy array; a scalar ``rho`` gives a float.
+
+    With pT = e^{-rho T} and pTp = e^{-rho T'}, the statistics count
+    spacers of probability (1-pT)(1-pTp), 1-2pT+pT pTp, pTp(1-pT) and
+    pT(1-pTp), each over r = 3-pTp-pT(2-pTp).  These are written with
+    ``expm1`` and as sums of nonnegative terms, as in
+    :func:`triple_conditional_score`, so they keep full relative
+    precision as rho T -> 0."""
+    rho = np.asarray(rho, dtype=float)
+    _check_triple_stats(m, (d1, d2, d3, d4), bool(np.all(rho > 0)), T, T_prime)
+    log_pT = np.maximum(rho * -T, -MAX_RHO_T)
+    log_pTp = np.maximum(rho * -T_prime, -MAX_RHO_T)
+    a, ap = -np.expm1(log_pT), -np.expm1(log_pTp)  # 1 - pT, 1 - pTp
+    both = np.exp(log_pT + log_pTp)  # pT pTp
+    c2 = a * a - both * np.expm1(rho * (T_prime - T))  # 1 - 2pT + pT pTp
+    r = ap + 2.0 * a + both
+    total = (
+        rho * (-(m - 1) * (T + T_prime))
+        + d3 * log_pTp
+        + d4 * log_pT
+        + xlogy(d1 + d3, a)
+        + xlogy(d1 + d4, ap)
+        + xlogy(d2, c2)
+        - (m - 1 + d1 + d2 + d3 + d4) * np.log(r)
+    )
+    return total if total.ndim else float(total)
+
+
+def triple_conditional_score(
     m: int,
     d1: int,
     d2: int,
@@ -203,28 +261,41 @@ def triple_conditional_loglik(
     rho: float,
     T: float,
     T_prime: float,
-) -> float:
-    """Conditional log-likelihood of the interior gaps given m equal
-    spacers, as a function of the four sufficient statistics."""
-    if m < 2:
-        raise ValueError("need at least 2 equal spacers")
-    for d in (d1, d2, d3, d4):
-        if d < 0:
-            raise ValueError("statistics must be nonnegative")
-    _check_rate_time(rho, T)
-    _check_rate_time(rho, T_prime, "T_prime")
-    if T < T_prime:
-        raise ValueError("T must be >= T_prime")
-    pT = _exp_neg(rho, T)
-    pTp = _exp_neg(rho, T_prime)
-    r = 3.0 - pTp - pT * (2.0 - pTp)
-    total = -(m - 1) * rho * (T + T_prime)
-    total += xlogy(d1, (1.0 - pT) * (1.0 - pTp))
-    total += xlogy(d2, 1.0 - 2.0 * pT + pT * pTp)
-    total += xlogy(d3, pTp * (1.0 - pT))
-    total += xlogy(d4, pT * (1.0 - pTp))
-    total -= (m - 1 + d1 + d2 + d3 + d4) * math.log(r)
-    return float(total)
+) -> tuple[float, float]:
+    """The score and the curvature, d/d rho and d^2/d rho^2 of
+    :func:`triple_conditional_loglik`, at a scalar rho, in closed form and
+    in the same terms."""
+    _check_triple_stats(m, (d1, d2, d3, d4), rho > 0, T, T_prime)
+    u, up = min(rho * T, MAX_RHO_T), min(rho * T_prime, MAX_RHO_T)
+    pT, pTp = math.exp(-u), math.exp(-up)
+    a, ap = -math.expm1(-u), -math.expm1(-up)  # 1 - pT, 1 - pTp
+    # e = d/drho log(1 - pT), with de = -e (e + T); likewise ep for T'
+    e, ep = T / math.expm1(u), T_prime / math.expm1(up)
+    c2 = a * a - pT * pTp * math.expm1(rho * (T_prime - T))  # 1 - 2pT + pT pTp
+    dc2 = pT * ((T + T_prime) * ap + T - T_prime)
+    ddc2 = pT * ((T + T_prime) * T_prime * pTp - T * ((T + T_prime) * ap + T - T_prime))
+    r = ap + 2.0 * a + pT * pTp  # 3 - pTp - pT (2 - pTp)
+    dr = T_prime * pTp * a + T * pT * (1.0 + ap)
+    ddr = T * T_prime * pT * pTp * 2.0 - T_prime * T_prime * pTp * a - T * T * pT * (1.0 + ap)
+    n = m - 1 + d1 + d2 + d3 + d4
+    g2, gr = dc2 / c2, dr / r
+    score = (
+        -(m - 1) * (T + T_prime)
+        + d1 * (e + ep)
+        + d2 * g2
+        + d3 * (e - T_prime)
+        + d4 * (ep - T)
+        - n * gr
+    )
+    de, dep = -e * (e + T), -ep * (ep + T_prime)
+    curvature = (
+        d1 * (de + dep)
+        + d2 * (ddc2 / c2 - g2 * g2)
+        + d3 * de
+        + d4 * dep
+        - n * (ddr / r - gr * gr)
+    )
+    return score, curvature
 
 
 # -- general n ---------------------------------------------------------

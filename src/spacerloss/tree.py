@@ -210,12 +210,12 @@ def parse_newick(text: str) -> UltrametricTree:
         raise NewickError("Newick string must end with ';'", len(s))
     s = s[:-1]
     parent: list[int] = []
-    length: list[float] = []
+    length: list[float | None] = []  # None until a ':length' is read
     label: list[str] = []
 
     def new_node() -> int:
         parent.append(-1)
-        length.append(0.0)
+        length.append(None)
         label.append("")
         return len(parent) - 1
 
@@ -272,8 +272,10 @@ def parse_newick(text: str) -> UltrametricTree:
     if pos != len(s):
         raise NewickError(f"trailing characters {s[pos:]!r}", pos)
     for i in range(len(parent)):
-        if i != root and length[i] == 0.0:
-            raise NewickError(f"missing branch length above node {i}", len(s))
+        if length[i] is None:
+            if i != root:
+                raise NewickError(f"missing branch length above node {i}", len(s))
+            length[i] = 0.0
     return UltrametricTree.build(parent, length, label)
 
 

@@ -105,6 +105,10 @@ def run_validation(rho, theta, T, T_prime, trials, seed=0):
     """Simulate a cherry of depth T (or, with ``T_prime``, a three-leaf
     tree with a cherry of depth T_prime) and compare against the analytic
     gap laws; returns a list of (name, statistic, p_value) lines."""
+    if not T > 0:
+        raise ValueError("T must be positive")
+    if T_prime is not None and not T_prime > 0:
+        raise ValueError("Tprime must be positive")
     params = ModelParams(theta=theta, rho=rho)
     if T_prime is None:
         tree = parse_newick(f"(1:{T!r},2:{T!r});")

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 import spacerloss as sl
+from golden_section import maximize_scalar
 from spacerloss.cli import ExperimentConfig, run_fig_experiment
 from spacerloss.process import mix_seed
 from spacerloss.validation import chisquare_from_counts, sample_gaps
@@ -267,7 +268,7 @@ def _numeric_argmax(m: int, d: int, T: float) -> float:
 
     if d == 0:
         return 0.0  # objective is strictly decreasing in rho
-    x, _, _ = sl.estimators.maximize_scalar(f, 1e-9, 60.0 / T, 1e-10)
+    x, _, _ = maximize_scalar(f, 1e-9, 60.0 / T, 1e-10)
     for _ in range(3):  # parabolic polish
         h = 1e-5 * (1.0 + x)
         f0, fm, fp = f(x), f(x - h), f(x + h)

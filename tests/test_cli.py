@@ -171,6 +171,18 @@ def test_validate_without_chisquare_cells_fails(capsys):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [(("--T", "0"), "T must be positive"),
+     (("--T", "1", "--Tprime", "0"), "Tprime must be positive")],
+)
+def test_validate_rejects_zero_times(capsys, times, message):
+    assert run_cli(
+        "validate", "--rho", "1", "--theta", "10", *times, "--trials", "1000",
+    ) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+
+
 def test_estimate_rejects_moments_method(tmp_path):
     stats = tmp_path / "stats.csv"
     write(stats, "replicate,M,D\n1,5,3\n")
@@ -257,6 +269,40 @@ def test_estimate_rejects_replicate_zero(tmp_path, capsys):
         "--out", str(tmp_path / "e.csv"),
     ) == 2
     assert "replicate numbers start at 1, found 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stats_text, tree, kind, n_leaves",
+    [("replicate,M,D\n1,5,3\n", TRIPLE, "pair", 3),
+     ("replicate,M,D1,D2,D3,D4\n1,5,3,1,1,1\n", CHERRY, "triple", 2)],
+)
+def test_estimate_rejects_tree_with_wrong_leaf_count(
+    tmp_path, capsys, stats_text, tree, kind, n_leaves
+):
+    stats = tmp_path / "stats.csv"
+    write(stats, stats_text)
+    trees = tmp_path / "tree.nwk"
+    write(trees, tree + "\n")
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--trees", str(trees),
+        "--out", str(tmp_path / "e.csv"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"replicate 1: {kind} statistics" in err
+    assert f"its tree has {n_leaves} leaves" in err
+
+
+def test_fig1_pair_boundary_writes_no_negative_zero(tmp_path):
+    # low gain gives many D = 0 replicates, whose estimate is exactly 0
+    out = tmp_path / "fig1.csv"
+    assert run_cli(
+        "replicate-fig1", "--n", "2", "--rho-grid", "1", "--theta-factor", "5",
+        "--replicates", "2000", "--seed", "3", "--out", str(out),
+    ) == 0
+    rows = read_rows(out)
+    assert ["1", "10", "0", "0", "false"] in rows
+    fields = [f for path in (out, str(out) + ".summary.csv") for r in read_rows(path) for f in r]
+    assert "-0" not in fields
 
 
 def test_estimate_missing_replicate_in_arrays(tmp_path, capsys):

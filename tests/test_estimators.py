@@ -1,17 +1,19 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from golden_section import maximize_scalar
 from spacerloss.estimators import (
+    TRIPLE_BRACKET_LOW,
     InsufficientDataError,
     estimate_rho_pair,
     estimate_rho_triple,
     estimate_theta_moment,
-    maximize_scalar,
     negbin_p_mle,
 )
-from spacerloss.likelihood import triple_conditional_loglik
+from spacerloss.likelihood import triple_conditional_loglik, triple_conditional_score
 
 
 def test_maximize_scalar_parabola():
@@ -44,6 +46,11 @@ def test_pair_estimator_boundary_at_zero_d():
     res = estimate_rho_pair(10, 0, 1.0)
     assert res.rho_hat == 0.0
     assert res.boundary
+
+
+def test_pair_estimator_boundary_is_positive_zero():
+    # -log(1) / T is -0.0, which would print as "-0"
+    assert f"{estimate_rho_pair(5, 0, 1.0).rho_hat:.12g}" == "0"
 
 
 def test_pair_estimator_rejects_insufficient():
@@ -112,6 +119,15 @@ def test_triple_estimate_is_local_max():
         )
 
 
+@pytest.mark.parametrize("c", [1e-30, 1e-3, 1e3])
+def test_triple_estimator_scales_with_time(c):
+    # the estimate depends on the times only through rho T and rho T',
+    # and the search stays finite for tiny times
+    m, ds, T, Tp = 30, (8, 5, 3, 2), 1.0, 0.5
+    a = estimate_rho_triple(m, *ds, T, Tp).rho_hat
+    assert estimate_rho_triple(m, *ds, c * T, c * Tp).rho_hat == pytest.approx(a / c, rel=1e-8)
+
+
 def test_triple_estimator_consistency_coarse():
     # with lots of data the estimate should sit near the truth: feed the
     # expected statistics directly
@@ -129,6 +145,68 @@ def test_triple_estimator_consistency_coarse():
     )
     res = estimate_rho_triple(m, *ds, T, Tp)
     assert res.rho_hat == pytest.approx(rho, rel=0.01)
+
+
+# random triple statistics: m, D1..D4 (some zero), T, and T' as a share of T
+triple_samples = st.tuples(
+    st.integers(2, 300),
+    st.tuples(*(st.one_of(st.just(0), st.integers(1, 500)) for _ in range(4))).filter(any),
+    st.floats(0.1, 4.0),
+    st.floats(0.05, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple_samples)
+def test_triple_estimate_beats_dense_grid(sample):
+    m, ds, T, share = sample
+    Tp = share * T
+    res = estimate_rho_triple(m, *ds, T, Tp)
+    grid = np.linspace(TRIPLE_BRACKET_LOW, 50.0 / (T + Tp), 20_001)
+    assert res.loglik == triple_conditional_loglik(m, *ds, res.rho_hat, T, Tp)
+    assert res.loglik >= triple_conditional_loglik(m, *ds, grid, T, Tp).max() - 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(triple_samples)
+def test_triple_estimate_matches_golden_section(sample):
+    m, ds, T, share = sample
+    Tp = share * T
+    res = estimate_rho_triple(m, *ds, T, Tp)
+    ref, _, _ = maximize_scalar(
+        lambda rho: triple_conditional_loglik(m, *ds, rho, T, Tp),
+        TRIPLE_BRACKET_LOW, 50.0 / (T + Tp), 1e-12,
+    )
+    assert res.rho_hat == pytest.approx(ref, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple_samples)
+def test_triple_interior_estimate_is_score_root(sample):
+    m, ds, T, share = sample
+    Tp = share * T
+    res = estimate_rho_triple(m, *ds, T, Tp)
+    assume(not res.boundary)
+    cell = (50.0 / (T + Tp) - TRIPLE_BRACKET_LOW) / 200
+    assert abs(res.diagnostics["grid_argmax"] - res.rho_hat) <= cell
+
+    def score(rho):
+        return triple_conditional_score(m, *ds, rho, T, Tp)[0]
+
+    # the score changes sign across rho_hat and is near zero there,
+    # measured against its size a small step away
+    h = max(0.01 * res.rho_hat, 1e-6)
+    left, right = score(res.rho_hat - h), score(res.rho_hat + h)
+    assert left > 0 > right
+    assert abs(score(res.rho_hat)) <= 1e-3 * min(left, -right)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 500), st.floats(0.1, 4.0), st.floats(0.05, 1.0))
+def test_triple_estimator_all_zero_is_boundary_zero(m, T, share):
+    res = estimate_rho_triple(m, 0, 0, 0, 0, T, share * T)
+    assert res.rho_hat == 0.0
+    assert res.boundary
 
 
 def test_theta_moment():

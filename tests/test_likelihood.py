@@ -14,6 +14,7 @@ from spacerloss.likelihood import (
     pair_gap_pmf,
     pair_sampling_logpmf,
     triple_conditional_loglik,
+    triple_conditional_score,
     triple_gap_logpmf,
     triple_gap_pmf,
 )
@@ -160,6 +161,61 @@ def test_triple_conditional_loglik_rho_profile_matches_gap_law(m, ds, rho1, rho2
         triple_conditional_loglik(m, d1, d2, d3, d4, rho2, T, Tp)
     )
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 300),
+    st.tuples(*(st.integers(0, 500) for _ in range(4))),
+    st.floats(0.1, 4.0),
+    st.floats(0.05, 1.0),
+    st.lists(st.floats(1e-8, 100.0), min_size=1, max_size=20),
+)
+def test_triple_conditional_loglik_broadcasts_over_rho(m, ds, T, share, rhos):
+    Tp = share * T
+    got = triple_conditional_loglik(m, *ds, np.array(rhos), T, Tp)
+    assert isinstance(got, np.ndarray) and got.shape == (len(rhos),)
+    want = [triple_conditional_loglik(m, *ds, rho, T, Tp) for rho in rhos]
+    assert all(isinstance(x, float) for x in want)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 300),
+    st.tuples(*(st.integers(0, 500) for _ in range(4))),
+    st.floats(0.1, 4.0),
+    st.floats(0.05, 1.0),
+    st.floats(0.01, 10.0),
+)
+def test_triple_score_matches_central_difference(m, ds, T, share, rho):
+    Tp = share * T
+    h = 1e-5 * rho
+
+    def loglik(x):
+        return triple_conditional_loglik(m, *ds, x, T, Tp)
+
+    def score(x):
+        return triple_conditional_score(m, *ds, x, T, Tp)
+
+    numeric = (loglik(rho + h) - loglik(rho - h)) / (2.0 * h)
+    # every term of the score is a count times at most T + T' + 1/rho,
+    # and every term of the curvature one times at most (T + T' + 1/rho)^2
+    scale = (m - 1 + sum(ds)) * (T + Tp + 1.0 / rho)
+    assert abs(score(rho)[0] - numeric) <= 1e-6 * scale
+    numeric = (score(rho + h)[0] - score(rho - h)[0]) / (2.0 * h)
+    assert abs(score(rho)[1] - numeric) <= 1e-6 * scale * (T + Tp + 1.0 / rho)
+
+
+def test_triple_score_rejects_what_the_loglik_rejects():
+    for args in [(1, 0, 0, 0, 0, 1.0, 1.0, 0.5), (5, -1, 0, 0, 0, 1.0, 1.0, 0.5),
+                 (5, 1, 0, 0, 0, 0.0, 1.0, 0.5), (5, 1, 0, 0, 0, 1.0, 0.5, 1.0)]:
+        with pytest.raises(ValueError):
+            triple_conditional_loglik(*args)
+        with pytest.raises(ValueError):
+            triple_conditional_score(*args)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        triple_conditional_loglik(5, 1, 0, 0, 0, np.array([1.0, -1.0]), 1.0, 0.5)
 
 
 def test_general_law_matches_pair_small_grid():

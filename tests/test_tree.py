@@ -45,6 +45,12 @@ def test_parse_rejects_missing_branch_length():
         parse_newick("(1:1,2);")
 
 
+def test_parse_rejects_zero_branch_length_as_nonpositive():
+    # an explicit zero is a length, not a missing one
+    with pytest.raises(TreeError, match="branch length above node 2 must be positive"):
+        parse_newick("((1:0,2:0):1,3:1);")
+
+
 def test_parse_rejects_bad_branch_length():
     with pytest.raises(NewickError):
         parse_newick("(1:abc,2:1);")
