@@ -9,20 +9,28 @@ Gap counts follow the "unshared" convention throughout: a gap value a
 is the number of spacers strictly between two consecutive equal spacers
 (the bounding equal spacers are not counted), so a = 0 for adjacent
 equal spacers.
+
+The general-n law (:class:`GeneralGapLaw`) builds the probabilities of
+all 2^n exact leaf subsets in one post-order pass over the tree, in
+O(2^n) numpy work and 2^n doubles, and stores their logs indexed by
+leaf mask - 1; :meth:`GeneralGapLaw.logpmf` visits only the nonzero
+counts of a gap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .tree import (
-    UltrametricTree, mask_subset, p_exact_subset, spanning_length, subset_mask, survival
-)
+# ``p_exact_subset`` is not called here; the benchmark's call counter
+# wraps it under this module's name
+from .tree import UltrametricTree, mask_subset, p_exact_subset, spanning_length, subset_mask
 
 __all__ = [
     "GeneralGapLaw",
@@ -303,57 +311,79 @@ def triple_conditional_score(
 
 @dataclass(frozen=True)
 class GeneralGapLaw:
-    """Per-subset survival probabilities for the general-n gap law.
+    """Exact-subset survival probabilities for the general-n gap law.
 
-    ``subsets[mask - 1]`` is the nonempty proper leaf subset of ``mask``
-    (leaf-bit order of :mod:`spacerloss.tree`); ``log_p_subset[i]`` is the
-    log-probability that a root spacer survives to exactly
-    ``subsets[i]``; ``log_p_root`` is log p(r) and ``neg_rho_lambda`` is
-    -rho * (total tree length).
+    ``log_p_subset[mask - 1]`` is the log-probability that a root spacer
+    survives to exactly the nonempty proper leaf subset of ``mask``
+    (leaf-bit order of :mod:`spacerloss.tree`), and ``subsets[mask - 1]``,
+    computed on first use, is that subset.  ``log_p_root`` is log p(r)
+    and ``neg_rho_lambda`` is -rho * (total tree length).
+
+    The table comes from one post-order pass (:func:`_exact_subset_probs`)
+    and holds 2^n - 2 doubles for n leaves.
     """
 
     tree: UltrametricTree
     rho: float
-    subsets: tuple[frozenset, ...] = field(init=False)
-    log_p_subset: tuple[float, ...] = field(init=False)
+    log_p_subset: np.ndarray = field(init=False, compare=False)
     log_p_root: float = field(init=False)
     neg_rho_lambda: float = field(init=False)
 
     def __post_init__(self):
         if not self.rho > 0:
             raise ValueError("rho must be positive")
-        leaves = self.tree.leaves
-        table = survival(self.tree, self.rho)
-        subsets = tuple(mask_subset(leaves, mask) for mask in range(1, 2 ** len(leaves) - 1))
-        probs = [p_exact_subset(self.tree, self.rho, self.tree.root, K, table) for K in subsets]
-        object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(
-            self, "log_p_subset", tuple(math.log(pk) if pk > 0 else -math.inf for pk in probs)
-        )
-        object.__setattr__(self, "log_p_root", math.log(table.p[self.tree.root]))
+        probs = _exact_subset_probs(self.tree, self.rho)
+        with np.errstate(divide="ignore"):
+            log_p = np.log(probs[1:-1])
+        log_p.flags.writeable = False
+        # p(r) as the sum over surviving subsets, not 1 - probs[0], which
+        # cancels to 0 once rho * height passes about 37
+        p_root = float(probs[1:].sum())
+        if not p_root > 0:
+            raise ValueError(
+                f"no root spacer survives to a leaf in double precision at rho={self.rho}"
+            )
+        object.__setattr__(self, "log_p_subset", log_p)
+        object.__setattr__(self, "log_p_root", math.log(p_root))
         object.__setattr__(
             self,
             "neg_rho_lambda",
-            -self.rho * spanning_length(self.tree, self.tree.root, leaves),
+            -self.rho * spanning_length(self.tree, self.tree.root, self.tree.leaves),
         )
+
+    @cached_property
+    def subsets(self) -> tuple[frozenset, ...]:
+        leaves = self.tree.leaves
+        return tuple(mask_subset(leaves, mask) for mask in range(1, len(self.log_p_subset) + 1))
 
     def logpmf(self, counts: Mapping) -> float:
         """Log-probability of one interior-gap count vector, keyed by leaf
-        subset (absent keys count 0)."""
+        subset (absent keys count 0).  Only the nonzero counts are
+        visited, so a gap costs O(nonzero * n)."""
         leaves = self.tree.leaves
-        vec = np.zeros(len(self.subsets), dtype=np.int64)
+        labels = set(leaves)
+        seen = set()
+        s = 0
+        out = self.neg_rho_lambda
         for key, val in counts.items():
-            mask = subset_mask(leaves, key) if set(key) <= set(leaves) else 0
-            if not 0 < mask <= len(self.subsets):
+            mask = subset_mask(leaves, key) if set(key) <= labels else 0
+            if not 0 < mask <= len(self.log_p_subset):
                 raise ValueError(f"{set(key)} is not a nonempty proper leaf subset")
+            if isinstance(val, bool) or not isinstance(val, Integral):
+                raise ValueError(f"count {val!r} of {set(key)} is not an integer")
             if val < 0:
                 raise ValueError("counts must be nonnegative")
-            vec[mask - 1] = val
-        return float(self.logpmf_array(vec[None, :])[0])
+            if mask in seen:
+                raise ValueError(f"leaf subset {sorted(set(key))} is given more than once")
+            seen.add(mask)
+            if val:
+                s += val
+                out += val * self.log_p_subset[mask - 1] - math.lgamma(val + 1)
+        return float(out + math.lgamma(s + 1) - (1 + s) * self.log_p_root)
 
     def logpmf_array(self, counts: np.ndarray) -> np.ndarray:
-        """Vectorized logpmf; ``counts`` has one column per subset in
-        ``self.subsets`` order."""
+        """Vectorized logpmf; ``counts`` has one column per subset, column
+        ``mask - 1`` for the subset of ``mask``."""
         counts = np.asarray(counts)
         s = counts.sum(axis=-1)
         out = (
@@ -362,10 +392,42 @@ class GeneralGapLaw:
             + gammaln(s + 1)
             - gammaln(counts + 1).sum(axis=-1)
         )
-        logp = np.asarray(self.log_p_subset)
         with np.errstate(invalid="ignore"):
-            contrib = np.where(counts > 0, counts * logp, 0.0)
+            contrib = np.where(counts > 0, counts * self.log_p_subset, 0.0)
         return out + contrib.sum(axis=-1)
+
+
+def _exact_subset_probs(tree: UltrametricTree, rho: float) -> np.ndarray:
+    """``probs[mask]`` is the probability that a root spacer survives to
+    exactly the leaves of ``mask``, for all 2^n masks.
+
+    One post-order pass: a node holds the distribution over the exact leaf
+    subsets below it, as probabilities and their masks; a leaf holds
+    {0: 0, own bit: 1}; an edge of length l scales every entry by
+    e^{-rho l} and moves the lost mass 1 - e^{-rho l} to mask 0; a parent
+    takes the outer product of its children, whose masks are disjoint, so
+    each product's mask is the OR of the two.
+    """
+    prob: dict[int, np.ndarray] = {}
+    masks: dict[int, np.ndarray] = {}
+    for v in tree.postorder():
+        if tree.is_leaf(v):
+            p = np.array([0.0, 1.0])
+            m = np.array([0, tree.below[v]], dtype=np.int64)
+        else:
+            a, b = tree.children[v]
+            p = np.multiply.outer(prob.pop(b), prob.pop(a)).ravel()
+            m = np.bitwise_or.outer(masks.pop(b), masks.pop(a)).ravel()
+        if v != tree.root:
+            e = math.exp(-rho * tree.length[v])
+            # mask 0 as 1 - p(v) e, the arithmetic of ``p_exact_subset``
+            lost = 1.0 - (1.0 - p[0]) * e
+            p *= e
+            p[0] = lost
+        prob[v], masks[v] = p, m
+    probs = np.empty(1 << len(tree.leaves))
+    probs[masks[tree.root]] = prob[tree.root]
+    return probs
 
 
 def general_gap_logpmf(tree: UltrametricTree, rho: float, counts: Mapping) -> float:

@@ -17,8 +17,17 @@ from spacerloss.likelihood import (
     triple_conditional_score,
     triple_gap_logpmf,
     triple_gap_pmf,
+    _exact_subset_probs,
 )
-from spacerloss.tree import parse_newick
+from spacerloss.tree import (
+    mask_subset,
+    p_exact_subset,
+    parse_newick,
+    sample_coalescent,
+    spanning_length,
+    survival,
+)
+from test_tree import ultrametric_trees
 
 LN2 = math.log(2.0)
 
@@ -255,6 +264,102 @@ def test_general_law_array_matches_scalar():
     for row, want in zip(counts, vec):
         got = law.logpmf(dict(zip(law.subsets, (int(x) for x in row))))
         assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_general_law_rejects_non_integer_counts():
+    law = GeneralGapLaw(parse_newick("((1:0.5,2:0.5):0.5,3:1);"), 0.8)
+    for val in (1.5, 2.0, True, np.True_, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            law.logpmf({frozenset({"1"}): val})
+    with pytest.raises(ValueError, match="nonnegative"):
+        law.logpmf({frozenset({"1"}): -1})
+    assert law.logpmf({frozenset({"1"}): np.int64(2)}) == law.logpmf({frozenset({"1"}): 2})
+
+
+def test_general_law_rejects_repeated_subset():
+    law = GeneralGapLaw(parse_newick("((1:0.5,2:0.5):0.5,3:1);"), 0.8)
+    with pytest.raises(ValueError, match="more than once") as info:
+        law.logpmf({("1", "2"): 2, ("2", "1"): 3})
+    assert "['1', '2']" in str(info.value)
+    assert law.logpmf({("1", "2"): 5}) == pytest.approx(-9.479, abs=1e-3)
+
+
+def test_general_law_keeps_rare_root_survival():
+    # at rho T = 50, 1 - P(lost everywhere) rounds to 0 in double precision
+    rho, T = 50.0, 1.0
+    law = GeneralGapLaw(parse_newick(f"(1:{T},2:{T});"), rho)
+    for a, b in [(0, 0), (3, 1), (0, 7)]:
+        want = float(pair_gap_logpmf(a, b, rho, T))
+        got = law.logpmf({frozenset({"1"}): a, frozenset({"2"}): b})
+        assert got == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="no root spacer survives"):
+        GeneralGapLaw(parse_newick(f"(1:{T},2:{T});"), 1000.0)
+
+
+def independent_logpmf(t, rho, counts, p_root):
+    """log of multinomial * prod_K (p_K / p_r)^c_K * e^{-rho L} / p_r, with
+    p_K from :func:`p_exact_subset` and L the total tree length."""
+    table = survival(t, rho)
+    log_pr = math.log(p_root)
+    s = sum(counts.values())
+    out = math.lgamma(s + 1) - rho * spanning_length(t, t.root, t.leaves) - log_pr
+    for K, c in counts.items():
+        p_k = p_exact_subset(t, rho, t.root, K, table)
+        out += c * (math.log(p_k) - log_pr) - math.lgamma(c + 1)
+    return out
+
+
+def check_law_against_walks(t, rho, counts):
+    """Every entry of the one-pass table against the per-subset walks, and
+    ``logpmf`` on ``counts`` against :func:`independent_logpmf`."""
+    leaves = t.leaves
+    full = (1 << len(leaves)) - 1
+    table = survival(t, rho)
+    probs = _exact_subset_probs(t, rho)
+    assert probs.shape == (full + 1,)
+    assert probs[0] == pytest.approx(1.0 - table.p[t.root], rel=1e-12)
+    assert probs[full] == pytest.approx(
+        math.exp(-rho * spanning_length(t, t.root, leaves)), rel=1e-12
+    )
+    want = [p_exact_subset(t, rho, t.root, mask_subset(leaves, k), table) for k in range(1, full)]
+    np.testing.assert_allclose(probs[1:full], want, rtol=1e-12, atol=0)
+    assert probs.sum() == pytest.approx(1.0, rel=1e-12)
+
+    # root survival from the walks over every surviving subset; the
+    # recursion's 1 - prod loses all digits when survival is rare
+    p_root = math.fsum(want) + probs[full]
+    law = GeneralGapLaw(t, rho)
+    assert law.log_p_root == pytest.approx(math.log(p_root), rel=1e-12)
+    assert law.logpmf(counts) == pytest.approx(
+        independent_logpmf(t, rho, counts, p_root), rel=1e-12
+    )
+    vec = np.zeros(full - 1, dtype=np.int64)
+    for K, c in counts.items():
+        vec[law.subsets.index(frozenset(K))] = c
+    assert float(law.logpmf_array(vec)) == pytest.approx(law.logpmf(counts), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ultrametric_trees(max_leaves=10), st.floats(0.05, 5.0), st.data())
+def test_general_law_matches_subset_walks(t, rho, data):
+    leaves = t.leaves
+    masks = data.draw(
+        st.lists(st.integers(1, 2 ** len(leaves) - 2), max_size=6, unique=True)
+    )
+    counts = {}
+    for k in masks:
+        # keys as label tuples in any order
+        K = data.draw(st.permutations(sorted(mask_subset(leaves, k))))
+        counts[tuple(K)] = data.draw(st.integers(1, 40))
+    check_law_against_walks(t, rho, counts)
+
+
+def test_general_law_fourteen_leaves():
+    t = sample_coalescent(14, 7)
+    rho = 0.6
+    counts = {frozenset({"3"}): 4, frozenset({"1", "5", "9"}): 2, tuple(t.leaves[:13]): 1}
+    check_law_against_walks(t, rho, counts)
+    assert GeneralGapLaw(t, rho) == GeneralGapLaw(t, rho)
 
 
 def test_extreme_rates_stay_finite():

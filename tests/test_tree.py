@@ -184,9 +184,10 @@ LABELS = ("1", "2", "9", "10", "11", "100", "a", "B", "b", "Z")
 
 
 @st.composite
-def ultrametric_trees(draw):
-    """Random binary ultrametric trees of 2-9 leaves with shuffled node ids."""
-    n = draw(st.integers(2, 9))
+def ultrametric_trees(draw, max_leaves=9):
+    """Random binary ultrametric trees of 2 to ``max_leaves`` (at most 10)
+    leaves with shuffled node ids."""
+    n = draw(st.integers(2, max_leaves))
     labels = draw(st.permutations(LABELS))[:n]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ids = rng.permutation(2 * n - 1).tolist()
