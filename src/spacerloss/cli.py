@@ -15,19 +15,22 @@ Exit codes: 0 success, 2 usage/input error, 3 validation failure.
 ``validate`` reports what :func:`spacerloss.validation.run_validation`
 computes.
 
-Determinism: every replicate gets its own seed from a splitmix64 mix of
-(base seed, grid index, replicate index), see
-:func:`spacerloss.process.mix_seed`, so output bytes are identical for
-serial and parallel runs; ``SPACERLOSS_THREADS`` caps the worker count.
+Determinism: ``simulate`` seeds replicate r with a splitmix64 mix of
+(seed, 0, r) and its coalescent tree with (seed, 1, r), see
+:func:`spacerloss.process.mix_seed`.  ``replicate-fig1`` runs fixed-size
+blocks of replicates in one process, block k of grid point i from a
+generator seeded by (seed, i, k); its output is a function of (seed, grid
+index, block), and the rows of a replicate do not depend on
+``--replicates``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +41,9 @@ from .estimators import (
     estimate_rho_pair,
     estimate_rho_triple,
     estimate_theta_moment,
+    pair_closed_form,
 )
-from .process import ModelParams, mix_seed, simulate_tree
+from .process import ModelParams, mix_seed, simulate_block, simulate_tree
 from .tree import UltrametricTree, parse_newick, sample_coalescent, to_newick
 
 __all__ = ["ExperimentConfig", "main", "run_fig_experiment"]
@@ -69,13 +73,6 @@ class ExperimentConfig:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _n_workers() -> int:
-    env = os.environ.get("SPACERLOSS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 class CliError(Exception):
@@ -300,28 +297,57 @@ def cmd_validate(args) -> int:
 # -- the coalescent recovery experiment --------------------------------
 
 
-def _fig1_replicate(task):
-    """One replicate: coalescent tree, simulation, statistics, estimate.
-    Returns (rho, replicate, rho_hat or None)."""
-    n, rho, theta_factor, base_seed, grid_idx, rep = task
-    theta = theta_factor * rho
-    t = sample_coalescent(n, mix_seed(base_seed, grid_idx, rep, 1))
-    sim = simulate_tree(t, ModelParams(theta=theta, rho=rho), mix_seed(base_seed, grid_idx, rep, 2))
-    try:
-        if n == 2:
-            st = equal_spacers.pair_stats(sim.arrays)
-            if st.d is None:
-                raise InsufficientDataError
-            res = estimate_rho_pair(st.m, st.d, t.height)
-        else:
-            st3 = equal_spacers.triple_stats(sim.arrays, t.cherry())
-            if st3.d1 is None:
-                raise InsufficientDataError
-            T, T_prime = _times_from_tree(t)
-            res = estimate_rho_triple(st3.m, st3.d1, st3.d2, st3.d3, st3.d4, T, T_prime)
-    except InsufficientDataError:
-        return (rho, rep, None)
-    return (rho, rep, res.rho_hat)
+# replicates per block of the recovery experiment.  Each block draws from
+# its own generator, seeded by (seed, grid index, block index), and rows
+# past --replicates are dropped, so a replicate's row does not depend on
+# the replicate count.
+FIG1_BLOCK = 512
+
+# the experiment's tree shapes: the leaf labels of a Kingman tree are
+# exchangeable, so for n = 3 the cherry is fixed as leaves 1 and 2
+_FIG1_NEWICK = {2: "(1:1,2:1);", 3: "((1:1,2:1):1,3:2);"}
+
+
+def _coalescent_block(n: int, rho: float, theta_factor: float, rng):
+    """One block of replicates on n-leaf Kingman trees: the simulated
+    :class:`~spacerloss.process.Block` and the (FIG1_BLOCK x n-1) epoch
+    times, with k = n..2 lines in column n - k."""
+    tree = parse_newick(_FIG1_NEWICK[n])
+    # epoch k (k lines, from n down to 2) lasts Exp(k(k-1)/2)
+    rates = np.array([k * (k - 1) / 2.0 for k in range(n, 1, -1)])
+    epochs = rng.exponential(1.0, (FIG1_BLOCK, n - 1)) / rates
+    c1, c2 = tree.leaf_ids["1"], tree.leaf_ids["2"]
+    lengths = np.zeros((FIG1_BLOCK, tree.n_nodes))
+    lengths[:, c1] = lengths[:, c2] = epochs[:, 0]
+    if n == 3:
+        lengths[:, tree.parent[c1]] = epochs[:, 1]
+        lengths[:, tree.leaf_ids["3"]] = epochs.sum(axis=1)
+    params = ModelParams(theta=theta_factor * rho, rho=rho)
+    return simulate_block(tree, lengths, params, rng), epochs
+
+
+def _fig1_block(n: int, rho: float, theta_factor: float, rng, count: int) -> np.ndarray:
+    """Simulate one block and estimate its first ``count`` replicates:
+    rho_hat per replicate, NaN where M < 2."""
+    sim, epochs = _coalescent_block(n, rho, theta_factor, rng)
+    height = epochs.sum(axis=1)
+    m, totals = equal_spacers.interior_totals(sim.root_fates()[:count], n)
+    rho_hat = np.full(count, np.nan)
+    used = np.flatnonzero(m >= 2)
+    if n == 2:
+        d = totals[used, 1] + totals[used, 2]
+        rho_hat[used] = pair_closed_form(m[used], d, height[used])[1]
+        return rho_hat
+    # leaf bits 1, 2, 4 stand for leaves 1, 2, 3; see triple_stats for D1..D4
+    ds = np.stack(
+        [totals[:, 1] + totals[:, 2], totals[:, 4], totals[:, 3], totals[:, 5] + totals[:, 6]],
+        axis=1,
+    )
+    for b in used.tolist():
+        rho_hat[b] = estimate_rho_triple(
+            int(m[b]), *ds[b].tolist(), float(height[b]), float(epochs[b, 0])
+        ).rho_hat
+    return rho_hat
 
 
 _QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
@@ -333,25 +359,27 @@ def run_fig_experiment(config: ExperimentConfig):
     rows: (rho, replicate, rho_hat or None); summary: per rho, dict with
     ratio quantiles over non-skipped replicates and the skip count.
     """
-    tasks = [
-        (config.n, rho, config.theta_factor, config.seed, gi, rep)
-        for gi, rho in enumerate(config.rho_grid)
-        for rep in range(1, config.replicates + 1)
-    ]
-    workers = _n_workers()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_fig1_replicate, tasks, chunksize=32))
-    else:
-        rows = [_fig1_replicate(t) for t in tasks]
-    summary = {}
-    for rho in config.rho_grid:
-        ratios = [r[2] / rho for r in rows if r[0] == rho and r[2] is not None]
-        skipped = sum(1 for r in rows if r[0] == rho and r[2] is None)
-        qs = (
-            {q: float(np.quantile(ratios, q)) for q in _QUANTILES} if ratios else {}
+    rows, summary = [], {}
+    for gi, rho in enumerate(config.rho_grid):
+        rho_hat = np.concatenate([
+            _fig1_block(
+                config.n, rho, config.theta_factor,
+                np.random.default_rng(mix_seed(config.seed, gi, k)),
+                min(FIG1_BLOCK, config.replicates - start),
+            )
+            for k, start in enumerate(range(0, config.replicates, FIG1_BLOCK))
+        ])
+        rows.extend(
+            (rho, rep, None if math.isnan(x) else x)
+            for rep, x in enumerate(rho_hat.tolist(), start=1)
         )
-        summary[rho] = {"quantiles": qs, "skipped": skipped, "used": len(ratios)}
+        ratios = rho_hat[~np.isnan(rho_hat)] / rho
+        qs = (
+            {q: float(np.quantile(ratios, q)) for q in _QUANTILES} if ratios.size else {}
+        )
+        summary[rho] = {
+            "quantiles": qs, "skipped": len(rho_hat) - ratios.size, "used": ratios.size
+        }
     return rows, summary
 
 
@@ -359,13 +387,12 @@ def write_fig_results(config: ExperimentConfig, rows, summary) -> None:
     with open(config.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho", "replicate", "rho_hat", "ratio", "skipped"])
-        for rho, rep, rho_hat in rows:
-            if rho_hat is None:
-                writer.writerow([_fmt(rho), rep, "", "", "true"])
-            else:
-                writer.writerow(
-                    [_fmt(rho), rep, _fmt(rho_hat), _fmt(rho_hat / rho), "false"]
-                )
+        rho_text = {rho: _fmt(rho) for rho in config.rho_grid}
+        writer.writerows(
+            [rho_text[rho], rep, "", "", "true"] if rho_hat is None
+            else [rho_text[rho], rep, _fmt(rho_hat), _fmt(rho_hat / rho), "false"]
+            for rho, rep, rho_hat in rows
+        )
     with open(config.out + ".summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho"] + [f"q{q}" for q in _QUANTILES] + ["used", "skipped"])

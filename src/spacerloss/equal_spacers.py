@@ -13,6 +13,14 @@ Statistics for estimation are taken over interior gaps only (between the
 first and last equal spacer); the leader-side segment mixes old and new
 spacers and is excluded.  Datasets with fewer than two equal spacers
 yield absent statistics (``None``), never silent zeros.
+
+:func:`interior_totals` computes the interior statistics of a whole
+block of simulated replicates at once from the leaf masks of its root
+spacers (:meth:`spacerloss.process.Block.root_fates`).  That is exact
+under the ordered independent loss model: a spacer gained below the root
+never reaches every leaf, so every equal spacer is a root spacer, and
+gains sit at the leader end of every array, before the first equal
+spacer, in gap 0.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .tree import mask_subset, subset_mask
 
 __all__ = [
@@ -30,6 +40,7 @@ __all__ = [
     "TripleStats",
     "equal_indices",
     "gap_decomposition",
+    "interior_totals",
     "pair_stats",
     "triple_stats",
 ]
@@ -110,6 +121,27 @@ def gap_decomposition(arrays: Arrays) -> GapDecomposition:
     m, counts = mask_gaps(arrays, leaf_masks(arrays))
     leaves = sorted(arrays)
     return GapDecomposition(m, {mask_subset(leaves, k): tuple(v) for k, v in counts.items()})
+
+
+def interior_totals(fates: np.ndarray, n_leaves: int) -> tuple[np.ndarray, np.ndarray]:
+    """M and the interior-gap totals of a block, from root fate masks.
+
+    ``fates`` (B x root spacers) holds each root spacer's leaf mask in
+    root order, which is the order in every leaf.  Returns ``m`` (B,), the
+    equal spacers per row, and ``totals`` (B x 2^n_leaves), where
+    ``totals[b, k]`` counts the spacers of row b held by exactly leaf
+    mask k strictly between its first and last equal spacer: the sum over
+    gaps 1..m-1 of :class:`GapDecomposition` ``counts``.  Column 0 counts
+    the spacers lost from every leaf and column 2^n - 1 is 0.
+    """
+    rows, width = fates.shape
+    equal = fates == (1 << n_leaves) - 1
+    seen = np.cumsum(equal, axis=1)  # equal spacers up to and including each column
+    m = seen[:, -1] if width else np.zeros(rows, np.int64)
+    interior = (seen >= 1) & (seen < m[:, None]) & ~equal
+    keys = (np.arange(rows)[:, None] << n_leaves) + fates
+    totals = np.bincount(keys[interior], minlength=rows << n_leaves)
+    return m, totals.reshape(rows, 1 << n_leaves)
 
 
 @dataclass(frozen=True)

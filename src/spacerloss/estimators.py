@@ -27,6 +27,7 @@ __all__ = [
     "estimate_rho_triple",
     "estimate_theta_moment",
     "negbin_p_mle",
+    "pair_closed_form",
     "TRIPLE_BRACKET_LOW",
 ]
 
@@ -53,18 +54,25 @@ class EstimateResult:
     diagnostics: Mapping = field(default_factory=dict)
 
 
+def pair_closed_form(m, d, T):
+    """The pair MLE: p* = (1 + d/(2(m-1)))^{-1} and rho* = -log(p*)/T, with
+    d = 0 giving the exact boundary value rho* = 0.  Returns (p*, rho*) and
+    broadcasts over arrays; every m must be >= 2."""
+    p_star = 1.0 / (1.0 + d / (2.0 * (m - 1)))
+    return p_star, np.where(d == 0, 0.0, -np.log(p_star) / T)  # -log(1) / T is -0.0
+
+
 def estimate_rho_pair(m: int, d: int, T: float) -> EstimateResult:
-    """Closed-form MLE from a two-leaf sample: p* = (1 + d/(2(m-1)))^{-1},
-    rho* = -log(p*)/T.  d = 0 gives the exact boundary value rho* = 0."""
+    """Closed-form MLE from a two-leaf sample, see :func:`pair_closed_form`."""
     if m < 2:
         raise InsufficientDataError("pair estimator requires m >= 2")
     if d < 0:
         raise ValueError("d must be nonnegative")
     if not T > 0:
         raise ValueError("T must be positive")
-    p_star = 1.0 / (1.0 + d / (2.0 * (m - 1)))
+    p_star, rho_star = pair_closed_form(m, d, T)
+    rho_star = float(rho_star)
     boundary = d == 0
-    rho_star = 0.0 if boundary else -math.log(p_star) / T  # -log(1) / T is -0.0
     loglik = (
         pair_conditional_loglik(m, d, rho_star, T) if rho_star > 0 else 0.0
     )  # at rho = 0 every gap is empty with probability 1

@@ -1,11 +1,21 @@
 """Forward simulation of the ordered independent loss model.
 
 Spacer arrays are tuples of opaque integer tokens, leader end first.
-Per-edge randomness is drawn from a generator seeded by (seed, node id),
-and fresh tokens are allocated from a per-edge block (node id in the high
-bits), so results do not depend on traversal order and subtrees below a
-branch point may be simulated concurrently.  Callers that run many
-replicates derive each replicate's seed with :func:`mix_seed`.
+One kernel, :func:`simulate_block`, evolves a block of B replicates on
+one tree topology with per-row branch lengths.  Each node holds its
+spacers as columns in array order, grouped by origin: the spacers gained
+on the edge above it, then those of its parent.  Column j of every row
+is the same token, ``(origin node << 40) | index``; a (B x columns)
+boolean mask says which rows hold it.  Every draw goes through
+:func:`_edge_step`: per edge, each spacer survives a Bernoulli draw with
+probability e^{-rho l} and the surviving gains are a Poisson count.  The
+root array is the end of an infinitely long edge from an empty array.
+
+A block draws from one generator, edge by edge in preorder, so its
+result is a function of (tree, branch lengths, params, generator state).
+:func:`simulate_tree` is the one-row view with a generator seeded by
+``seed``; callers that run many replicates derive each seed with
+:func:`mix_seed`.
 """
 
 from __future__ import annotations
@@ -19,12 +29,12 @@ import numpy as np
 from .tree import UltrametricTree
 
 __all__ = [
-    "ModelParams", "LeafArrays", "simulate_line", "equilibrium_root", "simulate_tree",
-    "splitmix64", "mix_seed",
+    "ModelParams", "LeafArrays", "Block", "simulate_block", "simulate_line",
+    "equilibrium_root", "simulate_tree", "splitmix64", "mix_seed",
 ]
 
-# token = (block_id << _TOKEN_SHIFT) | index; block 0 is reserved for
-# caller-supplied arrays in simulate_line
+# token = (origin node << _TOKEN_SHIFT) | index; simulate_line's caller
+# supplies its own tokens
 _TOKEN_SHIFT = 40
 
 _MASK = (1 << 64) - 1
@@ -76,31 +86,99 @@ class LeafArrays:
     root_array: tuple[int, ...]
 
 
-def _edge_rng(seed: int, node_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, node_id)))
+def _edge_step(
+    rng: np.random.Generator, alive: np.ndarray, keep: np.ndarray, gain: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One edge for every row of a block: the only place survival and gains
+    are drawn.
 
-
-def _evolve(
-    array: tuple[int, ...],
-    params: ModelParams,
-    duration: float,
-    rng: np.random.Generator,
-    token_base: int,
-) -> tuple[int, ...]:
-    """One edge of the process: independent survival of existing spacers
-    plus gained-and-surviving spacers prepended at the leader end.
-
-    The count of surviving gains is Poisson with mean
-    theta/rho * (1 - e^{-rho * duration}); their relative order carries no
-    information because tokens are fresh and unique, so they are emitted
-    as consecutive tokens from the edge's block.
+    ``alive`` (B x columns) marks the spacers at the top of the edge,
+    ``keep`` (B,) is e^{-rho l} and ``gain`` (B,) is theta/rho (1 - keep),
+    the mean count of spacers gained on the edge that survive to its end.
+    Each spacer survives independently with probability ``keep``; the
+    relative order of the gains carries no information, because their
+    tokens are fresh, so only their count is drawn.  Returns the
+    surviving mask and the gain counts.
     """
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    keep_p = math.exp(-params.rho * duration)
-    survivors = tuple(s for s, keep in zip(array, rng.random(len(array)) < keep_p) if keep)
-    n_new = int(rng.poisson(params.theta / params.rho * (1.0 - keep_p)))
-    return tuple(range(token_base, token_base + n_new)) + survivors
+    survived = alive & (rng.random(alive.shape) < keep[:, None])
+    # the same draws either way; a scalar mean skips numpy's check of an
+    # array of means, which costs more than a one-row draw itself
+    n_new = rng.poisson(gain[0], 1) if len(gain) == 1 else rng.poisson(gain)
+    return survived, n_new
+
+
+@dataclass(frozen=True)
+class Block:
+    """Leaf arrays of the B rows of :func:`simulate_block`.
+
+    ``tokens[leaf]`` lists, in array order, the tokens that row may hold
+    at that leaf, and ``alive[leaf]`` (B x len(tokens)) says which it
+    does.  ``n_root`` (B,) counts each row's root spacers, whose tokens
+    are ``(root << 40) | i`` for i < n_root; they are the last max(n_root)
+    columns of every leaf, in root order.
+    """
+
+    tree: UltrametricTree
+    tokens: Mapping[str, np.ndarray]
+    alive: Mapping[str, np.ndarray]
+    n_root: np.ndarray
+
+    def arrays(self, row: int) -> dict[str, tuple[int, ...]]:
+        """The leaf arrays of one row as token tuples."""
+        return {
+            leaf: tuple(self.tokens[leaf][self.alive[leaf][row]].tolist())
+            for leaf in self.tree.leaves
+        }
+
+    def root_array(self, row: int) -> tuple[int, ...]:
+        base = self.tree.root << _TOKEN_SHIFT
+        return tuple(range(base, base + int(self.n_root[row])))
+
+    def root_fates(self) -> np.ndarray:
+        """(B x max n_root) leaf masks of the root spacers, in root order and
+        the leaf-bit order of :mod:`spacerloss.tree`; 0 marks a spacer lost
+        from every leaf or a column past the row's root count."""
+        if len(self.tree.leaves) > 62:
+            raise ValueError("root fate masks hold at most 62 leaves")
+        width = max(self.n_root.tolist())
+        fates = np.zeros((len(self.n_root), width), np.int64)
+        for bit, leaf in enumerate(self.tree.leaves):
+            alive = self.alive[leaf]
+            fates |= alive[:, alive.shape[1] - width:].astype(np.int64) << bit
+        return fates
+
+
+def simulate_block(
+    tree: UltrametricTree, lengths, params: ModelParams, rng: np.random.Generator
+) -> Block:
+    """Run B replicates of the ordered independent loss model on the
+    topology of ``tree``, row b with branch lengths ``lengths[b]`` (B x
+    nodes, indexed by node id; the root's column is ignored).
+
+    Edges are drawn in preorder.
+    """
+    keep = np.exp(-params.rho * np.asarray(lengths, dtype=float))
+    if keep.ndim != 2 or keep.shape[0] < 1 or keep.shape[1] != tree.n_nodes:
+        raise ValueError("lengths must be a (rows x nodes) array with at least one row")
+    keep[:, tree.root] = 0.0  # the root array: an infinitely long edge from nothing
+    gain = params.theta / params.rho * (1.0 - keep)
+    rows = keep.shape[0]
+    # node -> (tokens, alive); the root's parent, -1, holds an empty array
+    state = {-1: (np.zeros(0, np.int64), np.zeros((rows, 0), bool))}
+    tokens_at, alive_at = {}, {}
+    for v in tree.preorder():
+        tokens, alive = state[tree.parent[v]]
+        survived, n_new = _edge_step(rng, alive, keep[:, v], gain[:, v])
+        fresh = np.arange(max(n_new.tolist()))
+        tokens = np.concatenate(((v << _TOKEN_SHIFT) + fresh, tokens))
+        alive = np.concatenate((fresh < n_new[:, None], survived), axis=1)
+        if v == tree.root:
+            n_root = n_new
+        if tree.is_leaf(v):
+            tokens_at[tree.label[v]], alive_at[tree.label[v]] = tokens, alive
+        else:
+            state[v] = tokens, alive
+    return Block(tree=tree, tokens=tokens_at, alive=alive_at, n_root=n_root)
 
 
 def simulate_line(
@@ -109,46 +187,46 @@ def simulate_line(
     """Evolve a single array for ``duration`` time units.
 
     Each initial spacer survives independently with probability
-    e^{-rho * duration}; surviving new spacers are prepended at the leader
-    end.  Deterministic given ``seed``.
+    e^{-rho * duration}; surviving new spacers, numbered on from the
+    largest initial token, are prepended at the leader end.
+    Deterministic given ``seed``.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+    if duration < 0:
+        raise ValueError("duration must be nonnegative")
+    keep = math.exp(-params.rho * duration)
+    survived, n_new = _edge_step(
+        np.random.default_rng(seed),
+        np.ones((1, len(initial)), bool),
+        np.array([keep]),
+        np.array([params.theta / params.rho * (1.0 - keep)]),
+    )
     base = (max(initial) + 1) if initial else 0
-    return _evolve(tuple(initial), params, duration, rng, base)
+    kept = (s for s, k in zip(initial, survived[0].tolist()) if k)
+    return tuple(range(base, base + int(n_new[0]))) + tuple(kept)
 
 
 def equilibrium_root(params: ModelParams, seed: int) -> tuple[int, ...]:
-    """Stationary array: Poi(theta/rho) fresh spacers."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-    n = int(rng.poisson(params.theta / params.rho))
-    return tuple(range(n))
+    """Stationary array: Poi(theta/rho) fresh spacers, the gains of an
+    infinitely long edge."""
+    _, n_new = _edge_step(
+        np.random.default_rng(seed),
+        np.zeros((1, 0), bool),
+        np.zeros(1),
+        np.array([params.theta / params.rho]),
+    )
+    return tuple(range(int(n_new[0])))
 
 
 def simulate_tree(tree: UltrametricTree, params: ModelParams, seed: int) -> LeafArrays:
     """Run the ordered independent loss model along ``tree``.
 
     The root is initialized at equilibrium; each edge evolves the parent
-    array independently.  Deterministic given (tree, params, seed).
+    array independently.  The one-row view of :func:`simulate_block`,
+    deterministic given (tree, params, seed).
     """
-    root_rng = _edge_rng(seed, tree.root)
-    n_root = int(root_rng.poisson(params.theta / params.rho))
-    base = tree.root << _TOKEN_SHIFT
-    state: dict[int, tuple[int, ...]] = {
-        tree.root: tuple(range(base, base + n_root))
-    }
-    arrays: dict[str, tuple[int, ...]] = {}
-    for v in tree.preorder():
-        if v == tree.root:
-            continue
-        arr = _evolve(
-            state[tree.parent[v]],
-            params,
-            tree.length[v],
-            _edge_rng(seed, v),
-            v << _TOKEN_SHIFT,
-        )
-        if tree.is_leaf(v):
-            arrays[tree.label[v]] = arr
-        else:
-            state[v] = arr
-    return LeafArrays(arrays=arrays, tree=tree, seed=seed, root_array=state[tree.root])
+    block = simulate_block(
+        tree, np.array([tree.length]), params, np.random.default_rng(seed)
+    )
+    return LeafArrays(
+        arrays=block.arrays(0), tree=tree, seed=seed, root_array=block.root_array(0)
+    )

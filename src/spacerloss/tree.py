@@ -2,8 +2,8 @@
 equal-spacer likelihoods.
 
 A tree is stored as parallel tuples indexed by node id.  Node ids are
-assigned deterministically at construction time, so seeding simulations
-by node id is reproducible.  Instances are immutable and safe to share
+assigned deterministically at construction time, so the simulator's
+tokens, which carry the node id of their origin, are reproducible.  Instances are immutable and safe to share
 between threads.
 
 Conventions
@@ -393,16 +393,22 @@ class SurvivalTable:
 def survival(tree: UltrametricTree, rho: float) -> SurvivalTable:
     """Evaluate the survival recursion at every vertex by post-order
     traversal: a leaf has p = 1; along an edge of length d the value decays
-    by e^{-rho d}; children combine as p = 1 - (1-p1)(1-p2)."""
+    by e^{-rho d}; children combine as p = 1 - (1-p1)(1-p2).
+
+    The product is summed in log space, p = -expm1(sum log1p(-p_c e^{-rho d})),
+    so a rare survival keeps its relative precision instead of rounding
+    to 0 once rho times the height passes about 37."""
     if not rho > 0:
         raise ValueError("rho must be positive")
     p = [1.0] * tree.n_nodes
     for v in tree.postorder():
         if not tree.is_leaf(v):
-            prod = 1.0
+            log_lost = 0.0
             for c in tree.children[v]:
-                prod *= 1.0 - p[c] * math.exp(-rho * tree.length[c])
-            p[v] = 1.0 - prod
+                reach = p[c] * math.exp(-rho * tree.length[c])
+                # reach rounds to 1 when rho * length underflows
+                log_lost += math.log1p(-reach) if reach < 1.0 else -math.inf
+            p[v] = -math.expm1(log_lost)
     return SurvivalTable(rho=rho, p=tuple(p))
 
 

@@ -9,11 +9,11 @@ Criteria
   5 closed-form loss-rate MLE vs independent numeric maximization
   6 coalescent recovery experiment at desk scale, < 10 min
   7 expected equal-spacer count under the coalescent
-  8 byte-identical experiment output across worker counts
+  8 byte-identical experiment output across reruns, rows independent of
+    the replicate count
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -377,18 +377,16 @@ def test_criterion_7_triple_moment():
     report(7, abs(z) <= 3.0, f"n=3 mean M = {mean:.2f} vs {want:.2f} (z = {z:.2f})")
 
 
-# -- criterion 8: determinism across worker counts ---------------------
+# -- criterion 8: determinism -------------------------------------------
 
 
-def _run_experiment_cli(out: str, threads: int) -> tuple[bytes, bytes]:
-    env = dict(os.environ, SPACERLOSS_THREADS=str(threads))
+def _run_experiment_cli(out: str, replicates: int = 100) -> tuple[bytes, bytes]:
     proc = subprocess.run(
         [
             sys.executable, "-m", "spacerloss.cli", "replicate-fig1",
-            "--n", "2", "--rho-grid", "0.25,0.5,1,2", "--replicates", "100",
+            "--n", "2", "--rho-grid", "0.25,0.5,1,2", "--replicates", str(replicates),
             "--seed", str(SEED), "--out", out,
         ],
-        env=env,
         capture_output=True,
         text=True,
     )
@@ -400,13 +398,24 @@ def _run_experiment_cli(out: str, threads: int) -> tuple[bytes, bytes]:
     return main_bytes, summary_bytes
 
 
+def _rows_by_rho(main_bytes: bytes) -> dict:
+    rows: dict = {}
+    for line in main_bytes.decode().splitlines()[1:]:
+        rows.setdefault(line.split(",", 1)[0], []).append(line)
+    return rows
+
+
 def test_criterion_8_determinism(tmp_path):
-    a = _run_experiment_cli(str(tmp_path / "a.csv"), threads=1)
-    b = _run_experiment_cli(str(tmp_path / "b.csv"), threads=4)
-    c = _run_experiment_cli(str(tmp_path / "c.csv"), threads=1)
+    a = _run_experiment_cli(str(tmp_path / "a.csv"))
+    b = _run_experiment_cli(str(tmp_path / "b.csv"))
+    c = _run_experiment_cli(str(tmp_path / "c.csv"))
+    long_rows = _rows_by_rho(_run_experiment_cli(str(tmp_path / "d.csv"), 1000)[0])
+    prefix = all(
+        long_rows[rho][: len(rows)] == rows for rho, rows in _rows_by_rho(a[0]).items()
+    )
     report(
         8,
-        a == b == c,
-        "results and summary CSVs byte-identical across reruns and "
-        "SPACERLOSS_THREADS in {1, 4}",
+        a == b == c and prefix,
+        "results and summary CSVs byte-identical across reruns; the rows of "
+        "--replicates 100 are the first rows of --replicates 1000",
     )

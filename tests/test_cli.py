@@ -1,12 +1,17 @@
 import csv
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spacerloss
+from spacerloss import cli
 from spacerloss.cli import ExperimentConfig, main
+from spacerloss.equal_spacers import interior_totals, pair_stats, triple_stats
+from spacerloss.estimators import estimate_rho_pair, estimate_rho_triple
 from spacerloss.process import mix_seed, splitmix64
 from spacerloss.tree import parse_newick, to_newick
 
@@ -256,7 +261,11 @@ def test_estimate_picks_trees_by_replicate_number(tmp_path):
     assert run_cli("estimate", "--stats", str(stats), "--trees", trees, "--out", str(full)) == 0
     assert run_cli("estimate", "--stats", str(gapped), "--trees", trees, "--out", str(part)) == 0
     assert read_rows(part)[1:] == read_rows(full)[2:]
-    assert read_rows(part)[1][:2] == ["2", "0.580190163009"]
+    # replicate 2 is estimated on the second tree, not on the first
+    _, m, d = rows[2]
+    with open(trees) as fh:
+        T = parse_newick(fh.read().splitlines()[1]).height
+    assert read_rows(part)[1][:2] == ["2", f"{estimate_rho_pair(int(m), int(d), T).rho_hat:.12g}"]
 
 
 def test_estimate_rejects_replicate_zero(tmp_path, capsys):
@@ -300,7 +309,7 @@ def test_fig1_pair_boundary_writes_no_negative_zero(tmp_path):
         "--replicates", "2000", "--seed", "3", "--out", str(out),
     ) == 0
     rows = read_rows(out)
-    assert ["1", "10", "0", "0", "false"] in rows
+    assert any(r[2:] == ["0", "0", "false"] for r in rows[1:])
     fields = [f for path in (out, str(out) + ".summary.csv") for r in read_rows(path) for f in r]
     assert "-0" not in fields
 
@@ -349,26 +358,108 @@ def test_experiment_config_validation():
         ExperimentConfig(n=2, rho_grid=(0.5, 1.0, 0.5), replicates=10, seed=0)
 
 
-def _run_fig1(tmp_path, name, threads):
+def _run_fig1(tmp_path, name, *argv):
     out = tmp_path / name
-    env = dict(os.environ, SPACERLOSS_THREADS=str(threads))
     proc = subprocess.run(
         [
-            sys.executable, "-m", "spacerloss.cli", "replicate-fig1",
-            "--n", "2", "--rho-grid", "0.5,1", "--replicates", "40",
+            sys.executable, "-m", "spacerloss.cli", "replicate-fig1", *argv,
             "--seed", "9", "--out", str(out),
         ],
-        env=env,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    with open(out, "rb") as fh:
-        return fh.read()
+    return read_rows(out)
 
 
-def test_fig1_experiment_bytes_identical_across_thread_counts(tmp_path):
-    a = _run_fig1(tmp_path, "a.csv", threads=1)
-    b = _run_fig1(tmp_path, "b.csv", threads=3)
-    assert a == b
-    assert a.startswith(b"rho,replicate,rho_hat,ratio,skipped")
+def test_fig1_rows_do_not_depend_on_replicate_count(tmp_path):
+    grid = ("--n", "2", "--rho-grid", "0.5,1")
+    a = _run_fig1(tmp_path, "a.csv", *grid, "--replicates", "100")
+    b = _run_fig1(tmp_path, "b.csv", *grid, "--replicates", "1000")
+    assert a[0] == ["rho", "replicate", "rho_hat", "ratio", "skipped"]
+    for rho in ("0.5", "1"):
+        rows_a = [r for r in a[1:] if r[0] == rho]
+        rows_b = [r for r in b[1:] if r[0] == rho]
+        assert len(rows_a) == 100 and len(rows_b) == 1000
+        assert rows_a == rows_b[:100]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every root is empty
+        ("--n", "2", "--rho-grid", "1", "--theta-factor", "0", "--replicates", "20"),
+        # every spacer is lost
+        ("--n", "3", "--rho-grid", "1e6", "--replicates", "20"),
+    ],
+)
+def test_fig1_blocks_without_equal_spacers_are_skipped(tmp_path, capsys, argv):
+    out = tmp_path / "fig1.csv"
+    assert run_cli("replicate-fig1", *argv, "--seed", "4", "--out", str(out)) == 0
+    assert "all 20 replicates skipped" in capsys.readouterr().out
+    rows = read_rows(out)
+    assert len(rows) == 21 and all(r[2:] == ["", "", "true"] for r in rows[1:])
+    summary = read_rows(str(out) + ".summary.csv")
+    assert summary[1][-2:] == ["0", "20"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fig1_block_estimates_each_rows_token_statistics(monkeypatch, n):
+    rho, count = 0.8, 200
+    sim, epochs = cli._coalescent_block(n, rho, 30.0, np.random.default_rng(5))
+    T = epochs.sum(axis=1)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return estimate_rho_triple(*args)
+
+    monkeypatch.setattr(cli, "estimate_rho_triple", recording)
+    rho_hat = cli._fig1_block(n, rho, 30.0, np.random.default_rng(5), count)
+    assert rho_hat.shape == (count,)
+    expected = []
+    for b in range(count):
+        arrays = sim.arrays(b)
+        if n == 2:
+            st = pair_stats(arrays)
+            want = None if st.d is None else estimate_rho_pair(st.m, st.d, T[b]).rho_hat
+        else:
+            st = triple_stats(arrays, ("1", "2"))
+            want = None
+            if st.d1 is not None:
+                expected.append((st.m, st.d1, st.d2, st.d3, st.d4, T[b], epochs[b, 0]))
+                want = estimate_rho_triple(*expected[-1]).rho_hat
+        if want is None:
+            assert math.isnan(rho_hat[b])
+        else:
+            assert math.isclose(rho_hat[b], want, rel_tol=1e-12, abs_tol=0.0)
+    assert calls == expected
+    assert not np.isnan(rho_hat).all()
+
+
+def test_fig1_block_mean_equal_spacers_match_the_coalescent():
+    # the root holds Poi(theta/rho) spacers; each reaches every leaf with
+    # probability e^{-rho L}, L the total branch length: E[e^{-2 rho T2}] =
+    # 1/(1+2 rho) and E[e^{-3 rho T3}] = 3/(3+3 rho)
+    rho, theta_factor = 0.5, 100.0
+    for n, factor in ((2, 1 / (1 + 2 * rho)), (3, 3 / (3 + 3 * rho) / (1 + 2 * rho))):
+        ms = np.concatenate([
+            interior_totals(
+                cli._coalescent_block(n, rho, theta_factor, np.random.default_rng(k))[0]
+                .root_fates(), n,
+            )[0]
+            for k in range(10)
+        ])
+        want = theta_factor * factor
+        z = (ms.mean() - want) / (ms.std(ddof=1) / math.sqrt(len(ms)))
+        assert abs(z) < 4.0, (n, ms.mean(), want)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spacerloss.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

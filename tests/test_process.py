@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spacerloss import process
+from spacerloss.equal_spacers import gap_decomposition, interior_totals, pair_stats, triple_stats
 from spacerloss.process import (
     ModelParams,
     equilibrium_root,
+    simulate_block,
     simulate_line,
     simulate_tree,
 )
-from spacerloss.tree import parse_newick, sample_coalescent
+from spacerloss.tree import parse_newick, sample_coalescent, subset_mask
+from spacerloss.validation import run_validation
 
 PARAMS = ModelParams(theta=10.0, rho=0.5)
 
@@ -121,3 +125,106 @@ def test_shared_fraction_matches_survival():
     p = math.exp(-PARAMS.rho * 1.0)
     z = (present / total - p) / math.sqrt(p * (1 - p) / total)
     assert abs(z) < 4.0
+
+
+def _random_block(n, rows, theta, rho, seed):
+    """A block on an n-leaf coalescent topology, each row's branch lengths
+    scaled by its own factor."""
+    rng = np.random.default_rng(seed)
+    tree = sample_coalescent(n, rng)
+    lengths = np.array(tree.length) * rng.uniform(0.05, 3.0, (rows, 1))
+    return simulate_block(tree, lengths, ModelParams(theta=theta, rho=rho), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 8), st.integers(1, 12), st.floats(0.0, 60.0), st.floats(0.05, 4.0),
+    st.integers(0, 2**32),
+)
+def test_block_statistics_match_each_rows_tokens(n, rows, theta, rho, seed):
+    block = _random_block(n, rows, theta, rho, seed)
+    m, totals = interior_totals(block.root_fates(), n)
+    leaves = block.tree.leaves
+    for b in range(rows):
+        arrays = block.arrays(b)
+        gd = gap_decomposition(arrays)
+        assert m[b] == gd.m
+        interior = {subset_mask(leaves, K): sum(c[1:]) for K, c in gd.counts.items()}
+        assert {k: int(totals[b, k]) for k in range(1, 2**n - 1) if totals[b, k]} == {
+            k: c for k, c in interior.items() if c
+        }
+        assert totals[b, -1] == 0
+        if n == 2:
+            ps = pair_stats(arrays)
+            d = int(totals[b, 1] + totals[b, 2])
+            assert (ps.m, ps.d) == (m[b], d if m[b] >= 2 else None)
+        if n == 3 and m[b] >= 2:
+            f1, f2 = block.tree.cherry()
+            ts = triple_stats(arrays, (f1, f2))
+            b1, b2 = (1 << leaves.index(f) for f in (f1, f2))
+            b3 = 7 ^ b1 ^ b2
+            assert (ts.d1, ts.d2, ts.d3, ts.d4) == (
+                totals[b, b1] + totals[b, b2],
+                totals[b, b3],
+                totals[b, b1 | b2],
+                totals[b, b1 | b3] + totals[b, b2 | b3],
+            )
+        # gains sit at the leader end, root spacers after them in root order
+        root = set(block.root_array(b))
+        for arr in arrays.values():
+            tail = [s for s in arr if s in root]
+            assert arr[len(arr) - len(tail):] == tuple(tail) == tuple(sorted(tail))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32), st.integers(0, 2**63))
+def test_simulate_tree_is_the_one_row_block(n, tree_seed, seed):
+    tree = sample_coalescent(n, tree_seed)
+    params = ModelParams(theta=20.0, rho=0.7)
+    sim = simulate_tree(tree, params, seed)
+    block = simulate_block(tree, [tree.length], params, np.random.default_rng(seed))
+    assert sim.arrays == block.arrays(0)
+    assert sim.root_array == block.root_array(0)
+
+
+def test_empty_and_fully_lost_blocks():
+    tree = parse_newick("((1:1,2:1):1,3:2);")
+    lengths = np.tile(tree.length, (5, 1))
+    empty = simulate_block(tree, lengths, ModelParams(theta=0.0, rho=1.0), np.random.default_rng(0))
+    assert empty.root_fates().shape == (5, 0)
+    m, totals = interior_totals(empty.root_fates(), 3)
+    assert m.tolist() == [0] * 5 and not totals.any()
+    lost = simulate_block(tree, lengths, ModelParams(theta=1e8, rho=1e6), np.random.default_rng(0))
+    assert lost.n_root.min() > 0
+    assert not lost.root_fates().any()
+    root = set(lost.root_array(0))
+    assert all(not root.intersection(arr) for arr in lost.arrays(0).values())
+
+
+def test_block_rejects_misshapen_lengths():
+    tree = parse_newick("(1:1,2:1);")
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="rows x nodes"):
+        simulate_block(tree, np.ones((0, 3)), PARAMS, rng)
+    with pytest.raises(ValueError, match="rows x nodes"):
+        simulate_block(tree, np.ones((2, 2)), PARAMS, rng)
+
+
+def test_validation_detects_a_doubled_loss_rate_on_one_edge(monkeypatch):
+    # survival is simulated edge by edge, never sampled from the law, so a
+    # wrong loss rate on one edge of the cherry must fail the checks
+    edge_step = process._edge_step
+    calls = []
+
+    def doubled_on_leaf_1(rng, alive, keep, gain):
+        calls.append(None)
+        if len(calls) % 3 == 2:  # preorder per replicate: root, leaf 1, leaf 2
+            keep = keep**2
+        return edge_step(rng, alive, keep, gain)
+
+    monkeypatch.setattr(process, "_edge_step", doubled_on_leaf_1)
+    report = run_validation(1.0, 100.0, 1.0, None, 5000, 17)
+    assert len(calls) == 3 * 5000
+    assert min(p for _, _, p in report) < 1e-4
+    monkeypatch.undo()
+    assert min(p for _, _, p in run_validation(1.0, 100.0, 1.0, None, 5000, 17)) >= 1e-4

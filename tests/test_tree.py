@@ -126,6 +126,15 @@ def test_survival_matches_hand_recursion():
         assert table.p[t.leaf_ids[leaf]] == 1.0
 
 
+def test_survival_keeps_precision_when_survival_is_rare():
+    # 1 - (1 - e^{-50})^2 rounds to 0; the exact value is 2e^{-50} - e^{-100}
+    t = parse_newick("(1:1,2:1);")
+    want = 2.0 * math.exp(-50.0) - math.exp(-100.0)
+    assert survival(t, 50.0).p[t.root] == pytest.approx(want, rel=1e-12, abs=0.0)
+    # rho * length below the double precision of 1: nothing is lost
+    assert survival(t, 1e-20).p[t.root] == 1.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.floats(0.05, 5.0))
 def test_exact_subset_probabilities_partition_unity(seed, rho):
