@@ -136,15 +136,18 @@ class Block:
 
     def root_fates(self) -> np.ndarray:
         """(B x max n_root) leaf masks of the root spacers, in root order and
-        the leaf-bit order of :mod:`spacerloss.tree`; 0 marks a spacer lost
-        from every leaf or a column past the row's root count."""
-        if len(self.tree.leaves) > 62:
-            raise ValueError("root fate masks hold at most 62 leaves")
+        the leaf-bit order of :mod:`spacerloss.tree`, in the smallest
+        unsigned dtype that holds them; 0 marks a spacer lost from every
+        leaf or a column past the row's root count."""
+        n = len(self.tree.leaves)
+        if n > 64:
+            raise ValueError("root fate masks hold at most 64 leaves")
+        dtype = np.min_scalar_type((1 << n) - 1)
         width = max(self.n_root.tolist())
-        fates = np.zeros((len(self.n_root), width), np.int64)
+        fates = np.zeros((len(self.n_root), width), dtype)
         for bit, leaf in enumerate(self.tree.leaves):
             alive = self.alive[leaf]
-            fates |= alive[:, alive.shape[1] - width:].astype(np.int64) << bit
+            fates |= alive[:, alive.shape[1] - width:].astype(dtype) << bit
         return fates
 
 
