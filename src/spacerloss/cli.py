@@ -37,11 +37,10 @@ import numpy as np
 
 from . import equal_spacers, tree as treemod
 from .estimators import (
-    InsufficientDataError,
     estimate_rho_pair,
-    estimate_rho_triple,
     estimate_theta_moment,
     pair_closed_form,
+    triple_mle,
 )
 from .process import ModelParams, mix_seed, simulate_block, simulate_tree
 from .tree import UltrametricTree, parse_newick, sample_coalescent, to_newick
@@ -233,45 +232,57 @@ def cmd_estimate(args) -> int:
     reps = [rep for rep, _, _ in rows]
     trees = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
     arrays = _read_arrays(args.arrays) if args.arrays else None
+    times = []  # (T, T') per row
+    for rep in reps:
+        if trees is not None:
+            t = _tree_of(trees, rep)
+            if len(t.leaves) != n_leaves:
+                raise CliError(
+                    f"replicate {rep}: {'pair' if is_pair else 'triple'} statistics "
+                    f"({','.join(header)}) need a {n_leaves}-leaf tree, "
+                    f"but its tree has {len(t.leaves)} leaves"
+                )
+            times.append(_times_from_tree(t))
+        elif args.T is None:
+            raise CliError("need --trees or --T")
+        else:
+            times.append((args.T, args.Tprime))
+    # rows without statistics or with M < 2 are written as skipped
+    usable = [i for i, (_, m, ds) in enumerate(rows) if ds is not None and m >= 2]
+    fits = {}  # row index -> (rho_hat, loglik, boundary)
+    if is_pair:
+        for i in usable:
+            res = estimate_rho_pair(rows[i][1], *rows[i][2], times[i][0])
+            fits[i] = (res.rho_hat, res.loglik, res.boundary)
+    else:
+        if any(times[i][1] is None for i in usable):
+            raise CliError("triple estimation needs --Tprime or --trees")
+        fit = triple_mle(
+            [rows[i][1] for i in usable],
+            np.array([rows[i][2] for i in usable], dtype=np.int64).reshape(-1, 4),
+            [times[i][0] for i in usable],
+            [times[i][1] for i in usable],
+        )
+        fits = dict(zip(
+            usable, zip(fit.rho_hat.tolist(), fit.loglik.tolist(), fit.boundary.tolist())
+        ))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["replicate", "rho_hat", "theta_hat", "loglik", "boundary", "skipped_reason"]
         )
-        for rep, m, ds in rows:
-            if trees is not None:
-                t = _tree_of(trees, rep)
-                if len(t.leaves) != n_leaves:
-                    raise CliError(
-                        f"replicate {rep}: {'pair' if is_pair else 'triple'} statistics "
-                        f"({','.join(header)}) need a {n_leaves}-leaf tree, "
-                        f"but its tree has {len(t.leaves)} leaves"
-                    )
-                T, T_prime = _times_from_tree(t)
-            else:
-                if args.T is None:
-                    raise CliError("need --trees or --T")
-                T, T_prime = args.T, args.Tprime
-            try:
-                if ds is None:
-                    raise InsufficientDataError
-                if is_pair:
-                    res = estimate_rho_pair(m, *ds, T)
-                else:
-                    if T_prime is None:
-                        raise CliError("triple estimation needs --Tprime or --trees")
-                    res = estimate_rho_triple(m, *ds, T, T_prime)
-            except InsufficientDataError:
+        for i, rep in enumerate(reps):
+            if i not in fits:
                 writer.writerow([rep, "", "", "", "", "M<2"])
                 continue
+            rho_hat, loglik, boundary = fits[i]
             theta = ""
-            if arrays is not None and res.rho_hat > 0:
+            if arrays is not None and rho_hat > 0:
                 if rep not in arrays:
                     raise CliError(f"replicate {rep} is missing from {args.arrays}")
-                theta = _fmt(estimate_theta_moment(res.rho_hat, arrays[rep]))
+                theta = _fmt(estimate_theta_moment(rho_hat, arrays[rep]))
             writer.writerow(
-                [rep, _fmt(res.rho_hat), theta, _fmt(res.loglik),
-                 str(res.boundary).lower(), ""]
+                [rep, _fmt(rho_hat), theta, _fmt(loglik), str(boundary).lower(), ""]
             )
     return 0
 
@@ -326,28 +337,35 @@ def _coalescent_block(n: int, rho: float, theta_factor: float, rng):
     return simulate_block(tree, lengths, params, rng), epochs
 
 
-def _fig1_block(n: int, rho: float, theta_factor: float, rng, count: int) -> np.ndarray:
-    """Simulate one block and estimate its first ``count`` replicates:
-    rho_hat per replicate, NaN where M < 2."""
+def _fig1_block(n: int, rho: float, theta_factor: float, rng, count: int):
+    """Simulate one block and estimate its first ``count`` replicates.
+
+    Returns rho_hat per replicate (NaN where M < 2) and two boolean arrays
+    of the same length, true where the estimate is a boundary one (for a
+    pair, D = 0) and where it is ``multimodal_suspect`` (never for a
+    pair); both are false where M < 2."""
     sim, epochs = _coalescent_block(n, rho, theta_factor, rng)
     height = epochs.sum(axis=1)
     m, totals = equal_spacers.interior_totals(sim.root_fates()[:count], n)
     rho_hat = np.full(count, np.nan)
+    boundary, suspect = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     used = np.flatnonzero(m >= 2)
     if n == 2:
         d = totals[used, 1] + totals[used, 2]
         rho_hat[used] = pair_closed_form(m[used], d, height[used])[1]
-        return rho_hat
+        boundary[used] = d == 0
+        return rho_hat, boundary, suspect
     # leaf bits 1, 2, 4 stand for leaves 1, 2, 3; see triple_stats for D1..D4
     ds = np.stack(
-        [totals[:, 1] + totals[:, 2], totals[:, 4], totals[:, 3], totals[:, 5] + totals[:, 6]],
+        [totals[used, 1] + totals[used, 2], totals[used, 4], totals[used, 3],
+         totals[used, 5] + totals[used, 6]],
         axis=1,
     )
-    for b in used.tolist():
-        rho_hat[b] = estimate_rho_triple(
-            int(m[b]), *ds[b].tolist(), float(height[b]), float(epochs[b, 0])
-        ).rho_hat
-    return rho_hat
+    fit = triple_mle(m[used], ds, height[used], epochs[used, 0])
+    rho_hat[used], boundary[used], suspect[used] = (
+        fit.rho_hat, fit.boundary, fit.multimodal_suspect
+    )
+    return rho_hat, boundary, suspect
 
 
 _QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
@@ -357,18 +375,21 @@ def run_fig_experiment(config: ExperimentConfig):
     """Run the recovery experiment; returns (rows, summary).
 
     rows: (rho, replicate, rho_hat or None); summary: per rho, dict with
-    ratio quantiles over non-skipped replicates and the skip count.
+    ratio quantiles over non-skipped replicates, the used and skipped
+    counts, and the counts of boundary and ``multimodal_suspect``
+    estimates among the used replicates.
     """
     rows, summary = [], {}
     for gi, rho in enumerate(config.rho_grid):
-        rho_hat = np.concatenate([
+        blocks = [
             _fig1_block(
                 config.n, rho, config.theta_factor,
                 np.random.default_rng(mix_seed(config.seed, gi, k)),
                 min(FIG1_BLOCK, config.replicates - start),
             )
             for k, start in enumerate(range(0, config.replicates, FIG1_BLOCK))
-        ])
+        ]
+        rho_hat, boundary, suspect = (np.concatenate(x) for x in zip(*blocks))
         rows.extend(
             (rho, rep, None if math.isnan(x) else x)
             for rep, x in enumerate(rho_hat.tolist(), start=1)
@@ -378,7 +399,8 @@ def run_fig_experiment(config: ExperimentConfig):
             {q: float(np.quantile(ratios, q)) for q in _QUANTILES} if ratios.size else {}
         )
         summary[rho] = {
-            "quantiles": qs, "skipped": len(rho_hat) - ratios.size, "used": ratios.size
+            "quantiles": qs, "skipped": len(rho_hat) - ratios.size, "used": ratios.size,
+            "boundary": int(boundary.sum()), "multimodal_suspect": int(suspect.sum()),
         }
     return rows, summary
 
@@ -424,6 +446,11 @@ def cmd_replicate_fig1(args) -> int:
             )
         else:
             print(f"rho={_fmt(rho)}: all {s['skipped']} replicates skipped")
+        print(
+            f"rho={_fmt(rho)}: of {s['used']} used replicates, {s['boundary']} boundary, "
+            f"{s['multimodal_suspect']} multimodal_suspect",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -136,12 +136,13 @@ def interior_totals(fates: np.ndarray, n_leaves: int) -> tuple[np.ndarray, np.nd
     """
     rows, width = fates.shape
     equal = fates == (1 << n_leaves) - 1
-    seen = np.cumsum(equal, axis=1)  # equal spacers up to and including each column
-    m = seen[:, -1] if width else np.zeros(rows, np.int64)
+    # equal spacers up to and including each column; a root holds far
+    # fewer than 2^31 spacers
+    seen = np.cumsum(equal, axis=1, dtype=np.int32)
+    m = seen[:, -1] if width else np.zeros(rows, np.int32)
     interior = (seen >= 1) & (seen < m[:, None]) & ~equal
-    keys = (np.arange(rows)[:, None] << n_leaves) + fates
-    totals = np.bincount(keys[interior], minlength=rows << n_leaves)
-    return m, totals.reshape(rows, 1 << n_leaves)
+    totals = [np.count_nonzero(interior & (fates == k), axis=1) for k in range(1 << n_leaves)]
+    return m, np.stack(totals, axis=1)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 The pair estimator has a closed form; the triple estimator brackets the
 maximum of the conditional log-likelihood on a grid and solves for the
 root of its closed-form score inside the bracket by safeguarded Newton.
-Boundary optima are flagged, never silently returned as interior values,
-and datasets with fewer than two equal spacers are rejected with a typed
+Both work on batches of rows: :func:`pair_closed_form` broadcasts, and
+:func:`triple_mle` runs the grid and the Newton steps on all rows at
+once, with :func:`estimate_rho_triple` as its one-row view.  Boundary
+optima are flagged, never silently returned as interior values, and
+datasets with fewer than two equal spacers are rejected with a typed
 error so experiment harnesses can count them.
 """
 
@@ -12,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .likelihood import (
-    pair_conditional_loglik, triple_conditional_loglik, triple_conditional_score
+    pair_conditional_loglik, triple_conditional_loglik, triple_score_unchecked
 )
 
 __all__ = [
@@ -28,13 +31,17 @@ __all__ = [
     "estimate_theta_moment",
     "negbin_p_mle",
     "pair_closed_form",
+    "triple_mle",
+    "TripleFit",
     "TRIPLE_BRACKET_LOW",
 ]
 
 # triple search: bracket lower end (the upper end is 50 / (T + T')), grid
-# size over the bracket, and the root-finder's tolerance and iteration cap
+# size over the bracket, rows per grid evaluation (which bounds the grid's
+# memory), and the root-finder's tolerance and iteration cap
 TRIPLE_BRACKET_LOW = 1e-8
 TRIPLE_GRID_POINTS = 201
+TRIPLE_GRID_CHUNK = 64
 TRIPLE_TOL = 1e-9
 TRIPLE_MAX_ITER = 100
 
@@ -94,6 +101,96 @@ def negbin_p_mle(m: int, d: int) -> float:
     return r / (r + d)
 
 
+class TripleFit(NamedTuple):
+    """Triple MLEs of a batch, one entry per row; see :func:`triple_mle`."""
+
+    rho_hat: np.ndarray
+    loglik: np.ndarray
+    boundary: np.ndarray
+    multimodal_suspect: np.ndarray
+    grid_argmax: np.ndarray
+
+
+def triple_mle(m, d, T, T_prime) -> TripleFit:
+    """Numeric MLEs from B three-leaf samples at once.
+
+    ``m``, ``T`` and ``T_prime`` broadcast to (B,) and ``d`` is (B x 4),
+    the statistics D1..D4 per row.  For each row the conditional
+    log-likelihood is evaluated on a 201-point grid over
+    [1e-8, 50/(T+T')], in chunks of TRIPLE_GRID_CHUNK rows.  The two grid
+    cells around the best grid point bracket the maximum, and the
+    estimate is the root of the closed-form score inside them, found by
+    safeguarded Newton steps taken by all unconverged rows together.  The
+    grid bracket needs no unimodality; ``multimodal_suspect`` reports
+    whether the grid log-likelihood has more than one local maximum.
+    A row whose statistics are all zero gets the boundary estimate 0 with
+    log-likelihood 0, no suspicion and a NaN ``grid_argmax``.  Every
+    row's result is that of the row alone."""
+    d = np.asarray(d)
+    if d.ndim != 2 or d.shape[1] != 4:
+        raise ValueError("d must hold D1..D4 in the columns of a 2-d array")
+    m, T, T_prime = np.broadcast_arrays(m, T, T_prime, np.empty(d.shape[:1]))[:3]
+    if np.any(m < 2):
+        raise InsufficientDataError("triple estimator requires m >= 2")
+    if not np.all((T >= T_prime) & (T_prime > 0)):
+        raise ValueError("need T >= T_prime > 0")
+    rows = len(d)
+    fit = TripleFit(
+        rho_hat=np.zeros(rows),
+        loglik=np.zeros(rows),
+        boundary=np.ones(rows, dtype=bool),
+        multimodal_suspect=np.zeros(rows, dtype=bool),
+        grid_argmax=np.full(rows, np.nan),
+    )
+    live = np.flatnonzero(d.any(axis=1))
+    if not live.size:
+        return fit
+    m, d, T, T_prime = m[live], d[live].T, T[live], T_prime[live]
+    with np.errstate(over="ignore"):  # an infinite end fails the range check
+        lower, upper = TRIPLE_BRACKET_LOW, 50.0 / (T + T_prime)
+    if not np.all((lower < upper) & (upper < math.inf)):
+        raise ValueError("T + T_prime is out of range for the search bracket")
+    # per row: the best grid index, its log-likelihood and the number of
+    # local maxima of the grid log-likelihood, its two ends included
+    k = np.empty(live.size, dtype=np.intp)
+    best = np.empty(live.size)
+    peaks = np.empty(live.size, dtype=np.intp)
+    for start in range(0, live.size, TRIPLE_GRID_CHUNK):
+        c = slice(start, start + TRIPLE_GRID_CHUNK)
+        col = np.s_[c, None]
+        grid = lower + (upper[col] - lower) * _UNIT_GRID
+        ll = triple_conditional_loglik(
+            m[col], *(x[col] for x in d), grid, T[col], T_prime[col]
+        )
+        k[c] = np.argmax(ll, axis=1)
+        best[c] = np.take_along_axis(ll, k[c, None], axis=1)[:, 0]
+        rises, falls = ll[:, 1:] > ll[:, :-1], ll[:, 1:] < ll[:, :-1]
+        peaks[c] = np.count_nonzero(rises[:, :-1] & falls[:, 1:], axis=1)
+        peaks[c] += falls[:, 0] + rises[:, -1]
+    def grid_point(j):  # per row, column j of its grid
+        return lower + (upper - lower) * _UNIT_GRID[j]
+
+    at = grid_point(k)
+    rho_hat = _score_roots(
+        lambda rho, m, d1, d2, d3, d4, T, T_prime: triple_score_unchecked(
+            m, d1, d2, d3, d4, rho, T, T_prime
+        ),
+        (m, *d, T, T_prime),
+        grid_point(np.maximum(k - 1, 0)),
+        grid_point(np.minimum(k + 1, TRIPLE_GRID_POINTS - 1)),
+        at,
+    )
+    value = triple_conditional_loglik(m, *d, rho_hat, T, T_prime)
+    worse = value < best  # the root is a lesser stationary point: keep the grid's best
+    rho_hat[worse], value[worse] = at[worse], best[worse]
+    fit.rho_hat[live] = rho_hat
+    fit.loglik[live] = value
+    fit.boundary[live] = (rho_hat - lower <= TRIPLE_TOL) | (upper - rho_hat <= TRIPLE_TOL)
+    fit.multimodal_suspect[live] = peaks > 1
+    fit.grid_argmax[live] = at
+    return fit
+
+
 def estimate_rho_triple(
     m: int,
     d1: int,
@@ -103,91 +200,62 @@ def estimate_rho_triple(
     T: float,
     T_prime: float,
 ) -> EstimateResult:
-    """Numeric MLE from a three-leaf sample.
-
-    The conditional log-likelihood is evaluated in one array call on a
-    201-point grid over [1e-8, 50/(T+T')].  The two grid cells around the
-    best grid point bracket the maximum, and the estimate is the root of
-    the closed-form score inside them.  The grid bracket needs no
-    unimodality; ``diagnostics["multimodal_suspect"]`` reports whether the
-    grid log-likelihood has more than one local maximum."""
-    if m < 2:
-        raise InsufficientDataError("triple estimator requires m >= 2")
-    if not (T >= T_prime > 0):
-        raise ValueError("need T >= T_prime > 0")
-    if all(d == 0 for d in (d1, d2, d3, d4)):
-        return EstimateResult(
-            rho_hat=0.0,
-            loglik=0.0,
-            method="triple-numeric",
-            boundary=True,
-            diagnostics={"m": m, "d": (d1, d2, d3, d4)},
+    """Numeric MLE from a three-leaf sample: the one-row view of
+    :func:`triple_mle`, with ``multimodal_suspect`` and ``grid_argmax`` in
+    ``diagnostics`` unless every statistic is zero."""
+    fit = triple_mle(m, [(d1, d2, d3, d4)], T, T_prime)
+    diagnostics = {"m": m, "d": (d1, d2, d3, d4)}
+    if any((d1, d2, d3, d4)):
+        diagnostics.update(
+            multimodal_suspect=bool(fit.multimodal_suspect[0]),
+            grid_argmax=float(fit.grid_argmax[0]),
         )
-    stats = (m, d1, d2, d3, d4)
-    lower, upper = TRIPLE_BRACKET_LOW, 50.0 / (T + T_prime)
-    if not lower < upper < math.inf:
-        raise ValueError("T + T_prime is out of range for the search bracket")
-    grid = lower + (upper - lower) * _UNIT_GRID
-    ll = triple_conditional_loglik(*stats, grid, T, T_prime)
-    k = int(np.argmax(ll))
-    rho_hat = _score_root(
-        lambda rho: triple_conditional_score(*stats, rho, T, T_prime),
-        float(grid[max(k - 1, 0)]),
-        float(grid[min(k + 1, TRIPLE_GRID_POINTS - 1)]),
-        float(grid[k]),
-    )
-    value = triple_conditional_loglik(*stats, rho_hat, T, T_prime)
-    if value < ll[k]:  # the root is a lesser stationary point: keep the grid's best
-        rho_hat, value = float(grid[k]), float(ll[k])
-    # local maxima of the grid log-likelihood, its two ends included
-    rises, falls = ll[1:] > ll[:-1], ll[1:] < ll[:-1]
-    peaks = np.count_nonzero(rises[:-1] & falls[1:]) + falls[0] + rises[-1]
     return EstimateResult(
-        rho_hat=rho_hat,
-        loglik=value,
+        rho_hat=float(fit.rho_hat[0]),
+        loglik=float(fit.loglik[0]),
         method="triple-numeric",
-        boundary=rho_hat - lower <= TRIPLE_TOL or upper - rho_hat <= TRIPLE_TOL,
-        diagnostics={
-            "m": m,
-            "d": (d1, d2, d3, d4),
-            "multimodal_suspect": bool(peaks > 1),
-            "grid_argmax": float(grid[k]),
-        },
+        boundary=bool(fit.boundary[0]),
+        diagnostics=diagnostics,
     )
 
 
-def _score_root(
-    score: Callable[[float], tuple[float, float]], a: float, b: float, x: float
-) -> float:
-    """Root of a score that falls through zero on [a, b].
+def _score_roots(score, args: tuple, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per row, the root of a score that falls through zero on [a, b].
 
-    ``score`` returns the score and its derivative.  Newton steps start
-    from x; a step is replaced by bisection of the bracket when the
-    log-likelihood is not concave or the step leaves the bracket, and the
-    search stops when a step is within TRIPLE_TOL relative.  Without a
-    sign change it returns the end the log-likelihood rises toward: a when
-    the score at a is <= 0, else b."""
-    if not score(a)[0] > 0:
-        return a
-    if not score(b)[0] < 0:
-        return b
-    if not a < x < b:
-        x = 0.5 * (a + b)
+    ``score(x, *args)`` returns the score and its derivative at x of the
+    rows whose parameters are ``args``, a tuple of per-row arrays.  Newton
+    steps start from x; a row's step is replaced by bisection of its
+    bracket when the log-likelihood is not concave there or the step
+    leaves the bracket, and a row stops when its step is within TRIPLE_TOL
+    relative, or after TRIPLE_MAX_ITER steps; stopped rows leave the
+    active set.  Without a sign change a row returns the end its
+    log-likelihood rises toward: a when the score at a is <= 0, else b."""
+    s_a, s_b = score(a, *args)[0], score(b, *args)[0]
+    root = np.where(s_a > 0, b, a)
+    idx = np.flatnonzero((s_a > 0) & (s_b < 0))
+    args, a, b, x = tuple(p[idx] for p in args), a[idx], b[idx], x[idx]
+    outside = ~((a < x) & (x < b))
+    x[outside] = 0.5 * (a[outside] + b[outside])
     for _ in range(TRIPLE_MAX_ITER):
-        s, h = score(x)
-        if s > 0:
-            a = x
-        elif s < 0:
-            b = x
-        else:
-            return x
-        x_new = x - s / h if h < 0 else 0.5 * (a + b)
-        if not a < x_new < b:
-            x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= TRIPLE_TOL * x:
-            return x_new
+        if not idx.size:
+            return root
+        s, h = score(x, *args)
+        a, b = np.where(s > 0, x, a), np.where(s < 0, x, b)
+        mid = 0.5 * (a + b)
+        x_new = mid.copy()
+        newton = h < 0  # the division runs on these rows only
+        x_new[newton] = x[newton] - s[newton] / h[newton]
+        outside = ~((a < x_new) & (x_new < b))
+        x_new[outside] = mid[outside]
+        exact = ~((s > 0) | (s < 0))  # a zero score, or NaN: stop at x
+        done = exact | (np.abs(x_new - x) <= TRIPLE_TOL * x)
+        root[idx[done]] = np.where(exact, x, x_new)[done]
         x = x_new
-    return x
+        if done.any():
+            keep = ~done
+            args, a, b, x, idx = tuple(p[keep] for p in args), a[keep], b[keep], x[keep], idx[keep]
+    root[idx] = x
+    return root
 
 
 def estimate_theta_moment(rho_hat: float, arrays: Mapping[str, Sequence]) -> float:

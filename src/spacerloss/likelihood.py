@@ -203,36 +203,27 @@ def triple_gap_pmf(a, b, c, d, e, f, rho: float, T: float, T_prime: float):
     return out if isinstance(out, np.ndarray) else float(out)
 
 
-def _check_triple_stats(m: int, ds, rho_positive: bool, T: float, T_prime: float) -> None:
+def _check_triple_stats(m, ds, rho_positive: bool, T, T_prime) -> None:
     """Argument checks shared by the triple conditional log-likelihood and
-    its score."""
-    if m < 2:
+    its score; every argument may be an array."""
+    if np.any(np.asarray(m) < 2):
         raise ValueError("need at least 2 equal spacers")
-    if min(ds) < 0:
+    if any(np.any(np.asarray(d) < 0) for d in ds):
         raise ValueError("statistics must be nonnegative")
     if not rho_positive:
         raise ValueError("rho must be positive")
-    if not T > 0:
+    if not np.all(np.asarray(T) > 0):
         raise ValueError("T must be positive")
-    if not T_prime > 0:
+    if not np.all(np.asarray(T_prime) > 0):
         raise ValueError("T_prime must be positive")
-    if T < T_prime:
+    if np.any(np.asarray(T) < T_prime):
         raise ValueError("T must be >= T_prime")
 
 
-def triple_conditional_loglik(
-    m: int,
-    d1: int,
-    d2: int,
-    d3: int,
-    d4: int,
-    rho,
-    T: float,
-    T_prime: float,
-):
+def triple_conditional_loglik(m, d1, d2, d3, d4, rho, T, T_prime):
     """Conditional log-likelihood of the interior gaps given m equal
-    spacers, as a function of the four sufficient statistics.  ``rho``
-    broadcasts over a numpy array; a scalar ``rho`` gives a float.
+    spacers, as a function of the four sufficient statistics.  Every
+    argument broadcasts over numpy arrays; scalar arguments give a float.
 
     With pT = e^{-rho T} and pTp = e^{-rho T'}, the statistics count
     spacers of probability (1-pT)(1-pTp), 1-2pT+pT pTp, pTp(1-pT) and
@@ -260,26 +251,28 @@ def triple_conditional_loglik(
     return total if total.ndim else float(total)
 
 
-def triple_conditional_score(
-    m: int,
-    d1: int,
-    d2: int,
-    d3: int,
-    d4: int,
-    rho: float,
-    T: float,
-    T_prime: float,
-) -> tuple[float, float]:
+def triple_conditional_score(m, d1, d2, d3, d4, rho, T, T_prime):
     """The score and the curvature, d/d rho and d^2/d rho^2 of
-    :func:`triple_conditional_loglik`, at a scalar rho, in closed form and
-    in the same terms."""
-    _check_triple_stats(m, (d1, d2, d3, d4), rho > 0, T, T_prime)
-    u, up = min(rho * T, MAX_RHO_T), min(rho * T_prime, MAX_RHO_T)
-    pT, pTp = math.exp(-u), math.exp(-up)
-    a, ap = -math.expm1(-u), -math.expm1(-up)  # 1 - pT, 1 - pTp
+    :func:`triple_conditional_loglik`, in closed form and in the same
+    terms.  Every argument broadcasts over numpy arrays; scalar arguments
+    give a pair of floats."""
+    rho = np.asarray(rho, dtype=float)
+    _check_triple_stats(m, (d1, d2, d3, d4), bool(np.all(rho > 0)), T, T_prime)
+    score, curvature = triple_score_unchecked(m, d1, d2, d3, d4, rho, T, T_prime)
+    if np.ndim(score) == 0:
+        return float(score), float(curvature)
+    return score, curvature
+
+
+def triple_score_unchecked(m, d1, d2, d3, d4, rho, T, T_prime):
+    """:func:`triple_conditional_score` without its argument checks, for
+    callers that have checked them: arrays in, arrays out."""
+    u, up = np.minimum(rho * T, MAX_RHO_T), np.minimum(rho * T_prime, MAX_RHO_T)
+    pT, pTp = np.exp(-u), np.exp(-up)
+    a, ap = -np.expm1(-u), -np.expm1(-up)  # 1 - pT, 1 - pTp
     # e = d/drho log(1 - pT), with de = -e (e + T); likewise ep for T'
-    e, ep = T / math.expm1(u), T_prime / math.expm1(up)
-    c2 = a * a - pT * pTp * math.expm1(rho * (T_prime - T))  # 1 - 2pT + pT pTp
+    e, ep = T / np.expm1(u), T_prime / np.expm1(up)
+    c2 = a * a - pT * pTp * np.expm1(rho * (T_prime - T))  # 1 - 2pT + pT pTp
     dc2 = pT * ((T + T_prime) * ap + T - T_prime)
     ddc2 = pT * ((T + T_prime) * T_prime * pTp - T * ((T + T_prime) * ap + T - T_prime))
     r = ap + 2.0 * a + pT * pTp  # 3 - pTp - pT (2 - pTp)

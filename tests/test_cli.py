@@ -11,7 +11,7 @@ import spacerloss
 from spacerloss import cli
 from spacerloss.cli import ExperimentConfig, main
 from spacerloss.equal_spacers import interior_totals, pair_stats, triple_stats
-from spacerloss.estimators import estimate_rho_pair, estimate_rho_triple
+from spacerloss.estimators import estimate_rho_pair, estimate_rho_triple, triple_mle
 from spacerloss.process import mix_seed, splitmix64
 from spacerloss.tree import parse_newick, to_newick
 
@@ -92,6 +92,38 @@ def test_simulate_stats_estimate_roundtrip_triple(tmp_path):
         "--out", str(est),
     ) == 0
     assert len(read_rows(est)) == 5
+
+
+def test_estimate_triple_rows_match_the_one_row_estimator(tmp_path):
+    arrays, stats, est = (tmp_path / f for f in ("arrays.csv", "stats.csv", "est.csv"))
+    trees = str(arrays) + ".trees"
+    assert run_cli(
+        "simulate", "--tree", "coalescent:3", "--theta", "12", "--rho", "1",
+        "--replicates", "40", "--seed", "6", "--out", str(arrays),
+    ) == 0
+    assert run_cli("stats", "--arrays", str(arrays), "--trees", trees, "--out", str(stats)) == 0
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--trees", trees, "--arrays", str(arrays),
+        "--out", str(est),
+    ) == 0
+    with open(trees) as fh:
+        tree_list = [parse_newick(ln) for ln in fh.read().splitlines()]
+    kinds = set()
+    for (rep, m, *ds), row in zip(read_rows(stats)[1:], read_rows(est)[1:]):
+        assert row[0] == rep
+        if ds[0] == "" or int(m) < 2:
+            assert row[1:] == ["", "", "", "", "M<2"]
+            kinds.add("skipped")
+            continue
+        t = tree_list[int(rep) - 1]
+        res = estimate_rho_triple(
+            int(m), *map(int, ds), t.height, t.length[t.leaf_ids[t.cherry()[0]]]
+        )
+        assert row[1:5:2] == [f"{res.rho_hat:.12g}", f"{res.loglik:.12g}"]
+        assert row[4:] == [str(res.boundary).lower(), ""]
+        assert (row[2] == "") == (res.rho_hat == 0)
+        kinds.add("boundary" if res.boundary else "interior")
+    assert kinds == {"skipped", "boundary", "interior"}
 
 
 def test_stats_triple_without_trees_fails(tmp_path):
@@ -372,8 +404,10 @@ def _run_fig1(tmp_path, name, *argv):
     return read_rows(out)
 
 
-def test_fig1_rows_do_not_depend_on_replicate_count(tmp_path):
-    grid = ("--n", "2", "--rho-grid", "0.5,1")
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_fig1_rows_do_not_depend_on_replicate_count(tmp_path, n):
+    # 100 replicates estimate 100 rows of the first block, 1000 all 512
+    grid = ("--n", n, "--rho-grid", "0.5,1")
     a = _run_fig1(tmp_path, "a.csv", *grid, "--replicates", "100")
     b = _run_fig1(tmp_path, "b.csv", *grid, "--replicates", "1000")
     assert a[0] == ["rho", "replicate", "rho_hat", "ratio", "skipped"]
@@ -412,29 +446,77 @@ def test_fig1_block_estimates_each_rows_token_statistics(monkeypatch, n):
 
     def recording(*args):
         calls.append(args)
-        return estimate_rho_triple(*args)
+        return triple_mle(*args)
 
-    monkeypatch.setattr(cli, "estimate_rho_triple", recording)
-    rho_hat = cli._fig1_block(n, rho, 30.0, np.random.default_rng(5), count)
-    assert rho_hat.shape == (count,)
-    expected = []
+    monkeypatch.setattr(cli, "triple_mle", recording)
+    rho_hat, boundary, suspect = cli._fig1_block(n, rho, 30.0, np.random.default_rng(5), count)
+    assert rho_hat.shape == boundary.shape == suspect.shape == (count,)
+    expected = []  # (m, D1..D4, T, T') of each estimated row, in row order
     for b in range(count):
         arrays = sim.arrays(b)
         if n == 2:
             st = pair_stats(arrays)
-            want = None if st.d is None else estimate_rho_pair(st.m, st.d, T[b]).rho_hat
+            res = None if st.d is None else estimate_rho_pair(st.m, st.d, T[b])
         else:
             st = triple_stats(arrays, ("1", "2"))
-            want = None
+            res = None
             if st.d1 is not None:
                 expected.append((st.m, st.d1, st.d2, st.d3, st.d4, T[b], epochs[b, 0]))
-                want = estimate_rho_triple(*expected[-1]).rho_hat
-        if want is None:
-            assert math.isnan(rho_hat[b])
+                res = estimate_rho_triple(*expected[-1])
+        if res is None:
+            assert math.isnan(rho_hat[b]) and not boundary[b] and not suspect[b]
         else:
-            assert math.isclose(rho_hat[b], want, rel_tol=1e-12, abs_tol=0.0)
-    assert calls == expected
+            assert math.isclose(rho_hat[b], res.rho_hat, rel_tol=1e-12, abs_tol=0.0)
+            assert boundary[b] == res.boundary
+            assert suspect[b] == res.diagnostics.get("multimodal_suspect", False)
+    if n == 2:
+        assert calls == []
+    else:
+        # one batched call for the whole block
+        [(m, d, T_arg, Tp_arg)] = calls
+        want = np.array(expected)
+        assert np.array_equal(m, want[:, 0]) and np.array_equal(d, want[:, 1:5])
+        assert np.array_equal(T_arg, want[:, 5]) and np.array_equal(Tp_arg, want[:, 6])
     assert not np.isnan(rho_hat).all()
+
+
+def test_fig1_reports_estimator_diagnostics(tmp_path, capsys):
+    # low gain gives many pair boundaries (D = 0) among the used replicates
+    out = tmp_path / "fig1.csv"
+    assert run_cli(
+        "replicate-fig1", "--n", "2", "--rho-grid", "1,1e6", "--theta-factor", "5",
+        "--replicates", "300", "--seed", "3", "--out", str(out),
+    ) == 0
+    captured = capsys.readouterr()
+    rows = [r for r in read_rows(out)[1:] if r[0] == "1"]
+    used = sum(r[4] == "false" for r in rows)
+    zero = sum(r[2] == "0" for r in rows)
+    assert 0 < zero < used
+    assert captured.err.splitlines() == [
+        f"rho=1: of {used} used replicates, {zero} boundary, 0 multimodal_suspect",
+        "rho=1000000: of 0 used replicates, 0 boundary, 0 multimodal_suspect",
+    ]
+    assert "boundary" not in captured.out
+
+
+def test_fig1_triple_diagnostics_count_the_estimators_flags(monkeypatch, capsys, tmp_path):
+    flags = []
+
+    def recording(*args):
+        fit = triple_mle(*args)
+        flags.append((fit.boundary.sum(), fit.multimodal_suspect.sum(), len(fit.rho_hat)))
+        return fit
+
+    monkeypatch.setattr(cli, "triple_mle", recording)
+    assert run_cli(
+        "replicate-fig1", "--n", "3", "--rho-grid", "2", "--theta-factor", "3",
+        "--replicates", "600", "--seed", "1", "--out", str(tmp_path / "fig1.csv"),
+    ) == 0
+    boundary, suspect, used = (sum(int(f[i]) for f in flags) for i in range(3))
+    assert len(flags) == 2 and boundary > 0
+    assert capsys.readouterr().err == (
+        f"rho=2: of {used} used replicates, {boundary} boundary, {suspect} multimodal_suspect\n"
+    )
 
 
 def test_fig1_block_mean_equal_spacers_match_the_coalescent():

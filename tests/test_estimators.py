@@ -12,6 +12,7 @@ from spacerloss.estimators import (
     estimate_rho_triple,
     estimate_theta_moment,
     negbin_p_mle,
+    triple_mle,
 )
 from spacerloss.likelihood import triple_conditional_loglik, triple_conditional_score
 
@@ -207,6 +208,65 @@ def test_triple_estimator_all_zero_is_boundary_zero(m, T, share):
     res = estimate_rho_triple(m, 0, 0, 0, 0, T, share * T)
     assert res.rho_hat == 0.0
     assert res.boundary
+
+
+# rows for batches: random statistics (a quarter all zero), T = T', tiny
+# times, and a row whose estimate sits at the upper end of the bracket
+triple_rows = st.one_of(
+    triple_samples,
+    st.tuples(st.integers(2, 300), st.just((0, 0, 0, 0)), st.floats(0.1, 4.0), st.just(1.0)),
+    st.tuples(st.integers(2, 300), triple_samples.map(lambda s: s[1]),
+              st.just(0.6e-30), st.just(2 / 3)),
+    st.tuples(st.integers(2, 5), st.just((10_000, 0, 0, 0)), st.just(1.0), st.just(0.01)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(triple_rows, min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_triple_mle_rows_match_the_one_row_view(rows, rnd):
+    # whatever else is in its batch, a row's result is that of the row alone
+    rows = [(m, ds, T, share * T) for m, ds, T, share in rows]
+    rnd.shuffle(rows)
+    cut = rnd.randrange(len(rows) + 1)
+    got = []
+    for part in (rows, rows[:cut], rows[cut:]):
+        if part:
+            fit = triple_mle(
+                [r[0] for r in part], [r[1] for r in part],
+                [r[2] for r in part], [r[3] for r in part],
+            )
+            got.append(list(zip(*fit)))
+    got = got[0] + [row for part in got[1:] for row in part]
+    for i, (m, ds, T, Tp) in enumerate(rows + rows):
+        one = estimate_rho_triple(m, *ds, T, Tp)
+        rho_hat, loglik, boundary, suspect, grid_argmax = got[i]
+        assert (rho_hat, loglik, boundary) == (one.rho_hat, one.loglik, one.boundary)
+        assert suspect == one.diagnostics.get("multimodal_suspect", False)
+        if any(ds):
+            assert grid_argmax == one.diagnostics["grid_argmax"]
+        else:
+            assert (rho_hat, boundary, math.isnan(grid_argmax)) == (0.0, True, True)
+
+
+def test_triple_mle_upper_bracket_end():
+    res = estimate_rho_triple(2, 10_000, 0, 0, 0, 1.0, 0.01)
+    assert res.boundary and res.rho_hat == pytest.approx(50.0 / 1.01, rel=1e-12)
+
+
+def test_triple_mle_checks_every_row():
+    ok = (5, (1, 1, 1, 1), 1.0, 0.5)
+    for bad, error, message in [
+        ((1, (1, 1, 1, 1), 1.0, 0.5), InsufficientDataError, "m >= 2"),
+        ((5, (1, 1, 1, 1), 0.5, 1.0), ValueError, "T >= T_prime > 0"),
+        ((5, (1, -1, 1, 1), 1.0, 0.5), ValueError, "nonnegative"),
+        ((5, (1, 1, 1, 1), 1e-320, 1e-320), ValueError, "out of range"),
+        ((5, (1, 1, 1, 1), 1e308, 1e308), ValueError, "out of range"),
+    ]:
+        batch = [ok] * 70 + [bad]  # the bad row in the second grid chunk
+        with pytest.raises(error, match=message):
+            triple_mle(*(list(col) for col in zip(*batch)))
+        with pytest.raises(error, match=message):
+            estimate_rho_triple(bad[0], *bad[1], *bad[2:])
 
 
 def test_theta_moment():

@@ -189,6 +189,31 @@ def test_triple_conditional_loglik_broadcasts_over_rho(m, ds, T, share, rhos):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(2, 300),
+        st.tuples(*(st.integers(0, 500) for _ in range(4))),
+        st.floats(0.1, 4.0),
+        st.floats(0.05, 1.0),
+        st.floats(1e-8, 100.0),
+    ),
+    min_size=1, max_size=20,
+))
+def test_triple_score_and_loglik_broadcast_over_every_argument(rows):
+    # one row per element: m, D1..D4, rho, T and T' all vary
+    m, ds, T, share, rho = (np.array(col) for col in zip(*rows))
+    Tp = share * T
+    score, curvature = triple_conditional_score(m, *ds.T, rho, T, Tp)
+    loglik = triple_conditional_loglik(m, *ds.T, rho, T, Tp)
+    assert score.shape == curvature.shape == loglik.shape == (len(rows),)
+    for i, (mi, di, Ti, _, ri) in enumerate(rows):
+        want = triple_conditional_score(mi, *di, ri, Ti, float(Tp[i]))
+        assert all(isinstance(x, float) for x in want)
+        assert (score[i], curvature[i]) == want
+        assert loglik[i] == triple_conditional_loglik(mi, *di, ri, Ti, float(Tp[i]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 300),
@@ -225,6 +250,18 @@ def test_triple_score_rejects_what_the_loglik_rejects():
             triple_conditional_score(*args)
     with pytest.raises(ValueError, match="rho must be positive"):
         triple_conditional_loglik(5, 1, 0, 0, 0, np.array([1.0, -1.0]), 1.0, 0.5)
+    # array arguments are checked element by element
+    two = np.array([1.0, 1.0])
+    for args, message in [
+        ((np.array([5, 1]), 1, 0, 0, 0, two, 1.0, 0.5), "at least 2 equal spacers"),
+        ((5, np.array([1, -1]), 0, 0, 0, two, 1.0, 0.5), "nonnegative"),
+        ((5, 1, 0, 0, 0, two, np.array([1.0, 0.0]), 0.0), "T must be positive"),
+        ((5, 1, 0, 0, 0, two, 1.0, np.array([0.5, 0.0])), "T_prime must be positive"),
+        ((5, 1, 0, 0, 0, two, np.array([1.0, 0.4]), 0.5), "T must be >= T_prime"),
+    ]:
+        for f in (triple_conditional_loglik, triple_conditional_score):
+            with pytest.raises(ValueError, match=message):
+                f(*args)
 
 
 def test_general_law_matches_pair_small_grid():
