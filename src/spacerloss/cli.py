@@ -157,7 +157,9 @@ def _read_trees(path: str, n_replicates: int) -> list[UltrametricTree]:
         lines = lines * n_replicates
     if len(lines) < n_replicates:
         raise CliError(f"{path} has {len(lines)} trees for {n_replicates} replicates")
-    return [parse_newick(ln) for ln in lines]
+    # a tree is immutable: replicates with the same line share one parse
+    trees = {ln: parse_newick(ln) for ln in dict.fromkeys(lines)}
+    return [trees[ln] for ln in lines]
 
 
 def _tree_of(trees: list[UltrametricTree], rep: int) -> UltrametricTree:
@@ -177,28 +179,28 @@ def cmd_stats(args) -> int:
     if sizes - {2, 3} or len(sizes) != 1:
         raise CliError(f"stats requires 2 or 3 leaves per replicate, found {sizes}")
     n = sizes.pop()
+    if n == 3 and trees is None:
+        raise CliError("three-leaf stats need --trees for the cherry")
+    rows = []  # built before the output is opened: an input error leaves no file
+    for rep in reps:
+        arrays = replicates[rep]
+        if trees is not None:
+            t = _tree_of(trees, rep)
+            if set(t.leaves) != set(arrays):
+                raise CliError(f"leaf mismatch between files at replicate {rep}")
+        if n == 2:
+            st = equal_spacers.pair_stats(arrays)
+            ds = (st.d,)
+        else:
+            st = equal_spacers.triple_stats(arrays, t.cherry())
+            ds = (st.d1, st.d2, st.d3, st.d4)
+        rows.append([rep, st.m] + ["" if d is None else d for d in ds])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["replicate", "M", "D"] if n == 2 else ["replicate", "M", "D1", "D2", "D3", "D4"]
         )
-        for rep in reps:
-            arrays = replicates[rep]
-            if trees is not None:
-                t = _tree_of(trees, rep)
-                if set(t.leaves) != set(arrays):
-                    raise CliError(f"leaf mismatch between files at replicate {rep}")
-            if n == 2:
-                st = equal_spacers.pair_stats(arrays)
-                writer.writerow([rep, st.m, "" if st.d is None else st.d])
-            else:
-                if trees is None:
-                    raise CliError("three-leaf stats need --trees for the cherry")
-                st = equal_spacers.triple_stats(arrays, t.cherry())
-                row = [rep, st.m] + [
-                    "" if d is None else d for d in (st.d1, st.d2, st.d3, st.d4)
-                ]
-                writer.writerow(row)
+        writer.writerows(rows)
     return 0
 
 
@@ -266,24 +268,24 @@ def cmd_estimate(args) -> int:
         fits = dict(zip(
             usable, zip(fit.rho_hat.tolist(), fit.loglik.tolist(), fit.boundary.tolist())
         ))
+    out = []  # built before the output is opened: an input error leaves no file
+    for i, rep in enumerate(reps):
+        if i not in fits:
+            out.append([rep, "", "", "", "", "M<2"])
+            continue
+        rho_hat, loglik, boundary = fits[i]
+        theta = ""
+        if arrays is not None and rho_hat > 0:
+            if rep not in arrays:
+                raise CliError(f"replicate {rep} is missing from {args.arrays}")
+            theta = _fmt(estimate_theta_moment(rho_hat, arrays[rep]))
+        out.append([rep, _fmt(rho_hat), theta, _fmt(loglik), str(boundary).lower(), ""])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["replicate", "rho_hat", "theta_hat", "loglik", "boundary", "skipped_reason"]
         )
-        for i, rep in enumerate(reps):
-            if i not in fits:
-                writer.writerow([rep, "", "", "", "", "M<2"])
-                continue
-            rho_hat, loglik, boundary = fits[i]
-            theta = ""
-            if arrays is not None and rho_hat > 0:
-                if rep not in arrays:
-                    raise CliError(f"replicate {rep} is missing from {args.arrays}")
-                theta = _fmt(estimate_theta_moment(rho_hat, arrays[rep]))
-            writer.writerow(
-                [rep, _fmt(rho_hat), theta, _fmt(loglik), str(boundary).lower(), ""]
-            )
+        writer.writerows(out)
     return 0
 
 
@@ -351,16 +353,12 @@ def _fig1_block(n: int, rho: float, theta_factor: float, rng, count: int):
     boundary, suspect = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     used = np.flatnonzero(m >= 2)
     if n == 2:
-        d = totals[used, 1] + totals[used, 2]
+        d = equal_spacers.interior_statistics(totals[used])
         rho_hat[used] = pair_closed_form(m[used], d, height[used])[1]
         boundary[used] = d == 0
         return rho_hat, boundary, suspect
-    # leaf bits 1, 2, 4 stand for leaves 1, 2, 3; see triple_stats for D1..D4
-    ds = np.stack(
-        [totals[used, 1] + totals[used, 2], totals[used, 4], totals[used, 3],
-         totals[used, 5] + totals[used, 6]],
-        axis=1,
-    )
+    # leaf bits 1 and 2 stand for the cherry leaves 1 and 2
+    ds = equal_spacers.interior_statistics(totals[used], (1, 2))
     fit = triple_mle(m[used], ds, height[used], epochs[used, 0])
     rho_hat[used], boundary[used], suspect[used] = (
         fit.rho_hat, fit.boundary, fit.multimodal_suspect

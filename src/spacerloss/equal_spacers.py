@@ -40,6 +40,7 @@ __all__ = [
     "TripleStats",
     "equal_indices",
     "gap_decomposition",
+    "interior_statistics",
     "interior_totals",
     "pair_stats",
     "triple_stats",
@@ -145,6 +146,22 @@ def interior_totals(fates: np.ndarray, n_leaves: int) -> tuple[np.ndarray, np.nd
     return m, np.stack(totals, axis=1)
 
 
+def interior_statistics(totals, cherry_bits=None) -> np.ndarray:
+    """D of a pair, or D1..D4 of a triple stacked in the last axis, from
+    ``totals[..., k]``, the interior spacers held by exactly leaf mask k
+    (see :func:`interior_totals`); ``cherry_bits`` are the leaf bits of a
+    triple's cherry f1, f2, see :class:`TripleStats`."""
+    t = np.asarray(totals)
+    if cherry_bits is None:
+        return t[..., 1] + t[..., 2]
+    b1, b2 = cherry_bits
+    b3 = 7 ^ b1 ^ b2
+    return np.stack(
+        [t[..., b1] + t[..., b2], t[..., b3], t[..., b1 | b2], t[..., b1 | b3] + t[..., b2 | b3]],
+        axis=-1,
+    )
+
+
 @dataclass(frozen=True)
 class PairStats:
     """Sufficient statistics (M, D) for a two-leaf sample.
@@ -196,19 +213,12 @@ def triple_stats(arrays: Arrays, cherry: tuple[str, str]) -> TripleStats:
     if len(arrays) != 3:
         raise ValueError("triple_stats requires exactly 3 leaf arrays")
     f1, f2 = cherry
-    (f3,) = set(arrays) - {f1, f2}
+    (_,) = set(arrays) - {f1, f2}  # the cherry is two distinct leaves of the three
     m, counts = mask_gaps(arrays, leaf_masks(arrays))
     if m < 2:
         return TripleStats(m=m, d1=None, d2=None, d3=None, d4=None)
     leaves = sorted(arrays)
-
-    def interior(K) -> int:
-        return sum(counts[subset_mask(leaves, K)][1:])
-
-    return TripleStats(
-        m=m,
-        d1=interior({f1}) + interior({f2}),
-        d2=interior({f3}),
-        d3=interior({f1, f2}),
-        d4=interior({f1, f3}) + interior({f2, f3}),
-    )
+    totals = [sum(counts[k][1:]) for k in range(8)]
+    bits = (subset_mask(leaves, {f1}), subset_mask(leaves, {f2}))
+    d1, d2, d3, d4 = interior_statistics(totals, bits).tolist()
+    return TripleStats(m=m, d1=d1, d2=d2, d3=d3, d4=d4)

@@ -2,13 +2,15 @@
 
 The pair estimator has a closed form; the triple estimator brackets the
 maximum of the conditional log-likelihood on a grid and solves for the
-root of its closed-form score inside the bracket by safeguarded Newton.
-Both work on batches of rows: :func:`pair_closed_form` broadcasts, and
-:func:`triple_mle` runs the grid and the Newton steps on all rows at
-once, with :func:`estimate_rho_triple` as its one-row view.  Boundary
-optima are flagged, never silently returned as interior values, and
-datasets with fewer than two equal spacers are rejected with a typed
-error so experiment harnesses can count them.
+root of its closed-form score inside the bracket by safeguarded Newton,
+which stops a row as soon as its Newton step is within TRIPLE_TOL
+relative, before any bisection fallback.  Both work on batches of rows:
+:func:`pair_closed_form` broadcasts, and :func:`triple_mle` runs the
+grid and the Newton steps on all rows at once, with
+:func:`estimate_rho_triple` as its one-row view.  Boundary optima are
+flagged, never silently returned as interior values, and datasets with
+fewer than two equal spacers are rejected with a typed error so
+experiment harnesses can count them.
 """
 
 from __future__ import annotations
@@ -120,7 +122,10 @@ def triple_mle(m, d, T, T_prime) -> TripleFit:
     [1e-8, 50/(T+T')], in chunks of TRIPLE_GRID_CHUNK rows.  The two grid
     cells around the best grid point bracket the maximum, and the
     estimate is the root of the closed-form score inside them, found by
-    safeguarded Newton steps taken by all unconverged rows together.  The
+    safeguarded Newton steps taken by all unconverged rows together: a
+    row bisects where the log-likelihood is not concave or its step leaves
+    the bracket, and stops once a step (a Newton step is tested before
+    bisection can replace it) is within TRIPLE_TOL relative.  The
     grid bracket needs no unimodality; ``multimodal_suspect`` reports
     whether the grid log-likelihood has more than one local maximum.
     A row whose statistics are all zero gets the boundary estimate 0 with
@@ -171,15 +176,37 @@ def triple_mle(m, d, T, T_prime) -> TripleFit:
         return lower + (upper - lower) * _UNIT_GRID[j]
 
     at = grid_point(k)
-    rho_hat = _score_roots(
-        lambda rho, m, d1, d2, d3, d4, T, T_prime: triple_score_unchecked(
-            m, d1, d2, d3, d4, rho, T, T_prime
-        ),
-        (m, *d, T, T_prime),
-        grid_point(np.maximum(k - 1, 0)),
-        grid_point(np.minimum(k + 1, TRIPLE_GRID_POINTS - 1)),
-        at,
-    )
+    lo = grid_point(np.maximum(k - 1, 0))
+    hi = grid_point(np.minimum(k + 1, TRIPLE_GRID_POINTS - 1))
+    s_lo, s_hi = triple_score_unchecked(m, *d, np.stack([lo, hi]), T, T_prime)[0]
+    rho_hat = np.where(s_lo > 0, hi, lo)  # no sign change: the end the likelihood rises to
+    # safeguarded Newton on the active rows, those whose score falls
+    # through zero in their bracket [a, b]
+    act = np.flatnonzero((s_lo > 0) & (s_hi < 0))
+    am, ad, aT, aTp = m[act], d[:, act], T[act], T_prime[act]
+    a, b, x = lo[act], hi[act], at[act]
+    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+    for _ in range(TRIPLE_MAX_ITER):
+        if not act.size:
+            break
+        s, h = triple_score_unchecked(am, *ad, x, aT, aTp)
+        a, b = np.where(s > 0, x, a), np.where(s < 0, x, b)
+        mid = 0.5 * (a + b)
+        x_new = mid.copy()
+        newton = h < 0  # the division runs on these rows only
+        x_new[newton] = x[newton] - s[newton] / h[newton]
+        # a converged step may round onto the bracket end just set: it
+        # stops the row before the bisection fallback can replace it
+        near = np.abs(x_new - x) <= TRIPLE_TOL * x
+        outside = ~(near | ((a < x_new) & (x_new < b)))
+        x_new[outside] = mid[outside]
+        exact = ~((s > 0) | (s < 0))  # a zero score, or NaN: stop at x
+        done = exact | (np.abs(x_new - x) <= TRIPLE_TOL * x)
+        rho_hat[act[done]] = np.where(exact, x, x_new)[done]
+        keep = ~done
+        act, am, ad, aT, aTp = act[keep], am[keep], ad[:, keep], aT[keep], aTp[keep]
+        a, b, x = a[keep], b[keep], x_new[keep]
+    rho_hat[act] = x
     value = triple_conditional_loglik(m, *d, rho_hat, T, T_prime)
     worse = value < best  # the root is a lesser stationary point: keep the grid's best
     rho_hat[worse], value[worse] = at[worse], best[worse]
@@ -217,45 +244,6 @@ def estimate_rho_triple(
         boundary=bool(fit.boundary[0]),
         diagnostics=diagnostics,
     )
-
-
-def _score_roots(score, args: tuple, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per row, the root of a score that falls through zero on [a, b].
-
-    ``score(x, *args)`` returns the score and its derivative at x of the
-    rows whose parameters are ``args``, a tuple of per-row arrays.  Newton
-    steps start from x; a row's step is replaced by bisection of its
-    bracket when the log-likelihood is not concave there or the step
-    leaves the bracket, and a row stops when its step is within TRIPLE_TOL
-    relative, or after TRIPLE_MAX_ITER steps; stopped rows leave the
-    active set.  Without a sign change a row returns the end its
-    log-likelihood rises toward: a when the score at a is <= 0, else b."""
-    s_a, s_b = score(a, *args)[0], score(b, *args)[0]
-    root = np.where(s_a > 0, b, a)
-    idx = np.flatnonzero((s_a > 0) & (s_b < 0))
-    args, a, b, x = tuple(p[idx] for p in args), a[idx], b[idx], x[idx]
-    outside = ~((a < x) & (x < b))
-    x[outside] = 0.5 * (a[outside] + b[outside])
-    for _ in range(TRIPLE_MAX_ITER):
-        if not idx.size:
-            return root
-        s, h = score(x, *args)
-        a, b = np.where(s > 0, x, a), np.where(s < 0, x, b)
-        mid = 0.5 * (a + b)
-        x_new = mid.copy()
-        newton = h < 0  # the division runs on these rows only
-        x_new[newton] = x[newton] - s[newton] / h[newton]
-        outside = ~((a < x_new) & (x_new < b))
-        x_new[outside] = mid[outside]
-        exact = ~((s > 0) | (s < 0))  # a zero score, or NaN: stop at x
-        done = exact | (np.abs(x_new - x) <= TRIPLE_TOL * x)
-        root[idx[done]] = np.where(exact, x, x_new)[done]
-        x = x_new
-        if done.any():
-            keep = ~done
-            args, a, b, x, idx = tuple(p[keep] for p in args), a[keep], b[keep], x[keep], idx[keep]
-    root[idx] = x
-    return root
 
 
 def estimate_theta_moment(rho_hat: float, arrays: Mapping[str, Sequence]) -> float:

@@ -6,14 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spacerloss
 from spacerloss import cli
 from spacerloss.cli import ExperimentConfig, main
 from spacerloss.equal_spacers import interior_totals, pair_stats, triple_stats
-from spacerloss.estimators import estimate_rho_pair, estimate_rho_triple, triple_mle
-from spacerloss.process import mix_seed, splitmix64
-from spacerloss.tree import parse_newick, to_newick
+from spacerloss.estimators import (
+    estimate_rho_pair, estimate_rho_triple, estimate_theta_moment, triple_mle
+)
+from spacerloss.process import ModelParams, mix_seed, simulate_tree, splitmix64
+from spacerloss.tree import parse_newick, sample_coalescent, to_newick
 
 CHERRY = "(1:1.0,2:1.0);"
 TRIPLE = "((1:0.5,2:0.5):0.5,3:1.0);"
@@ -126,7 +129,7 @@ def test_estimate_triple_rows_match_the_one_row_estimator(tmp_path):
     assert kinds == {"skipped", "boundary", "interior"}
 
 
-def test_stats_triple_without_trees_fails(tmp_path):
+def test_stats_triple_without_trees_fails(tmp_path, capsys):
     tree = tmp_path / "tree.nwk"
     write(tree, TRIPLE)
     arrays = tmp_path / "arrays.csv"
@@ -135,6 +138,84 @@ def test_stats_triple_without_trees_fails(tmp_path):
         "--replicates", "1", "--seed", "0", "--out", str(arrays),
     )
     assert run_cli("stats", "--arrays", str(arrays), "--out", str(tmp_path / "s.csv")) == 2
+    assert "three-leaf stats need --trees for the cherry" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_stats_leaf_mismatch_writes_no_file(tmp_path, capsys):
+    arrays = tmp_path / "arrays.csv"
+    assert run_cli(
+        "simulate", "--tree", "coalescent:2", "--theta", "30", "--rho", "1",
+        "--replicates", "3", "--seed", "2", "--out", str(arrays),
+    ) == 0
+    trees = tmp_path / "trees.nwk"
+    write(trees, "(1:1,2:1);\n(1:1,3:1);\n(1:1,2:1);\n")
+    out = tmp_path / "s.csv"
+    assert run_cli("stats", "--arrays", str(arrays), "--trees", str(trees), "--out", str(out)) == 2
+    assert "leaf mismatch between files at replicate 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@st.composite
+def pair_runs(draw):
+    """(theta, rho): rho log-uniform on [1e-2, 1e3] and theta up to 1e3,
+    with at most 300 root spacers expected."""
+    rho = 10.0 ** draw(st.floats(-2.0, 3.0))
+    return draw(st.floats(0.0, min(1e3, 300 * rho))), rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_runs(), st.integers(1, 4), st.integers(0, 2**32))
+@example((0.0, 1.0), 3, 0)  # every array is empty
+@example((1.0, 1.0), 50, 3)  # some replicates have one empty leaf
+@example((1e3, 1e3), 4, 1)  # rho T passes MAX_RHO_T
+@example((100.0, 1.0), 4, 2)  # every replicate estimable
+def test_simulate_stats_estimate_roundtrip_coalescent_pair(
+    tmp_path_factory, run, replicates, seed
+):
+    theta, rho = run
+    tmp = tmp_path_factory.mktemp("roundtrip")
+    arrays, stats, est = (tmp / f for f in ("arrays.csv", "stats.csv", "est.csv"))
+    trees = str(arrays) + ".trees"
+    assert run_cli(
+        "simulate", "--tree", "coalescent:2", "--theta", repr(theta), "--rho", repr(rho),
+        "--replicates", str(replicates), "--seed", str(seed), "--out", str(arrays),
+    ) == 0
+    # each replicate rebuilt in memory as the cli docstring seeds it; the
+    # trees file keeps 12 significant digits of each branch length
+    reps = {}
+    for rep in range(1, replicates + 1):
+        t = sample_coalescent(2, mix_seed(seed, 1, rep))
+        sim = simulate_tree(t, ModelParams(theta=theta, rho=rho), mix_seed(seed, 0, rep))
+        reps[rep] = (sim.arrays, parse_newick(to_newick(t)).height)
+    # the arrays file cannot hold an empty array: a replicate whose leaves
+    # are all empty is absent, and one empty leaf fails stats
+    present = [rep for rep, (a, _) in reps.items() if any(a.values())]
+    code = run_cli("stats", "--arrays", str(arrays), "--trees", trees, "--out", str(stats))
+    if not present or not all(all(reps[rep][0].values()) for rep in present):
+        assert code == 2 and not stats.exists()
+        return
+    assert code == 0
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--trees", trees, "--arrays", str(arrays),
+        "--out", str(est),
+    ) == 0
+    want_stats, want_est = [], []
+    for rep in present:
+        a, T = reps[rep]
+        ps = pair_stats(a)
+        want_stats.append([str(rep), str(ps.m), "" if ps.d is None else str(ps.d)])
+        if ps.d is None:
+            want_est.append([str(rep), "", "", "", "", "M<2"])
+            continue
+        res = estimate_rho_pair(ps.m, ps.d, T)
+        theta_hat = estimate_theta_moment(res.rho_hat, a) if res.rho_hat > 0 else None
+        want_est.append([
+            str(rep), f"{res.rho_hat:.12g}", "" if theta_hat is None else f"{theta_hat:.12g}",
+            f"{res.loglik:.12g}", str(res.boundary).lower(), "",
+        ])
+    assert read_rows(stats)[1:] == want_stats
+    assert read_rows(est)[1:] == want_est
 
 
 def test_simulate_coalescent_source(tmp_path):
@@ -300,6 +381,31 @@ def test_estimate_picks_trees_by_replicate_number(tmp_path):
     assert read_rows(part)[1][:2] == ["2", f"{estimate_rho_pair(int(m), int(d), T).rho_hat:.12g}"]
 
 
+def test_one_line_trees_file_is_parsed_once(tmp_path, monkeypatch):
+    tree = tmp_path / "tree.nwk"
+    write(tree, CHERRY + "\n")
+    arrays, stats = tmp_path / "arrays.csv", tmp_path / "stats.csv"
+    assert run_cli(
+        "simulate", "--tree", str(tree), "--theta", "30", "--rho", "1",
+        "--replicates", "50", "--seed", "8", "--out", str(arrays),
+    ) == 0
+    assert run_cli("stats", "--arrays", str(arrays), "--out", str(stats)) == 0
+    # the companion file repeats the tree on 50 lines
+    many, one = tmp_path / "many.csv", tmp_path / "one.csv"
+    trees = str(arrays) + ".trees"
+    assert run_cli("estimate", "--stats", str(stats), "--trees", trees, "--out", str(many)) == 0
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_newick(text)
+
+    monkeypatch.setattr(cli, "parse_newick", counting)
+    assert run_cli("estimate", "--stats", str(stats), "--trees", str(tree), "--out", str(one)) == 0
+    assert len(calls) == 1
+    assert one.read_bytes() == many.read_bytes()
+
+
 def test_estimate_rejects_replicate_zero(tmp_path, capsys):
     stats = tmp_path / "stats.csv"
     write(stats, "replicate,M,D\n0,5,3\n")
@@ -356,6 +462,7 @@ def test_estimate_missing_replicate_in_arrays(tmp_path, capsys):
         "--out", str(tmp_path / "e.csv"),
     ) == 2
     assert f"replicate 2 is missing from {partial}" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_simulate_on_deep_caterpillar(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from golden_section import maximize_scalar
+from spacerloss import estimators
 from spacerloss.estimators import (
     TRIPLE_BRACKET_LOW,
     InsufficientDataError,
@@ -14,7 +15,9 @@ from spacerloss.estimators import (
     negbin_p_mle,
     triple_mle,
 )
-from spacerloss.likelihood import triple_conditional_loglik, triple_conditional_score
+from spacerloss.likelihood import (
+    triple_conditional_loglik, triple_conditional_score, triple_score_unchecked
+)
 
 
 def test_maximize_scalar_parabola():
@@ -246,6 +249,24 @@ def test_triple_mle_rows_match_the_one_row_view(rows, rnd):
             assert grid_argmax == one.diagnostics["grid_argmax"]
         else:
             assert (rho_hat, boundary, math.isnan(grid_argmax)) == (0.0, True, True)
+
+
+def test_triple_newton_stops_at_a_root_on_the_bracket_end(monkeypatch):
+    # on this row a converged Newton step rounds onto the bracket end its
+    # score has just set; a stop rule that counts it as leaving the bracket
+    # bisects about 30 times back to the same root (40 score evaluations)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return triple_score_unchecked(*args)
+
+    monkeypatch.setattr(estimators, "triple_score_unchecked", counting)
+    m, ds, T, Tp = 62, (0, 5, 9, 4), 0.19087051773381514, 0.030409292876516638
+    res = estimate_rho_triple(m, *ds, T, Tp)
+    assert len(calls) <= 12
+    assert not res.boundary
+    assert triple_conditional_score(m, *ds, res.rho_hat, T, Tp)[0] == pytest.approx(0, abs=1e-6)
 
 
 def test_triple_mle_upper_bracket_end():
