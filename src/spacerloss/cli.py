@@ -17,11 +17,11 @@ computes.
 
 Determinism: ``simulate`` seeds replicate r with a splitmix64 mix of
 (seed, 0, r) and its coalescent tree with (seed, 1, r), see
-:func:`spacerloss.process.mix_seed`.  ``replicate-fig1`` runs fixed-size
-blocks of replicates in one process, block k of grid point i from a
-generator seeded by (seed, i, k); its output is a function of (seed, grid
-index, block), and the rows of a replicate do not depend on
-``--replicates``.
+:func:`spacerloss.process.mix_seed`.  ``replicate-fig1`` and ``validate``
+run blocks of 512 replicates in one process, block k seeded by (seed, i,
+k) for grid point i of ``replicate-fig1`` and by (seed, k) for
+``validate`` (:func:`spacerloss.process.seeded_blocks`); a replicate's
+row does not depend on the replicate count.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .estimators import (
     pair_closed_form,
     triple_mle,
 )
-from .process import ModelParams, mix_seed, simulate_block, simulate_tree
+from .process import BLOCK, ModelParams, mix_seed, seeded_blocks, simulate_block, simulate_tree
 from .tree import UltrametricTree, parse_newick, sample_coalescent, to_newick
 
 __all__ = ["ExperimentConfig", "main", "run_fig_experiment"]
@@ -106,20 +106,26 @@ def _load_tree_source(source: str):
 def cmd_simulate(args) -> int:
     fixed, coal_n = _load_tree_source(args.tree)
     params = ModelParams(theta=args.theta, rho=args.rho)
-    trees_out = args.trees_out or args.out + ".trees"
-    with open(args.out, "w", newline="") as fh, open(trees_out, "w") as th:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "leaf", "position", "spacer"])
-        for rep in range(1, args.replicates + 1):
-            rep_seed = mix_seed(args.seed, 0, rep)
-            t = fixed if fixed is not None else sample_coalescent(
-                coal_n, mix_seed(args.seed, 1, rep)
-            )
-            th.write(to_newick(t) + "\n")
-            result = simulate_tree(t, params, rep_seed)
-            for leaf in t.leaves:
-                for pos, token in enumerate(result.arrays[leaf], start=1):
-                    writer.writerow([rep, leaf, pos, token])
+    paths = (args.out, args.trees_out or args.out + ".trees")
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]  # renamed once complete
+    try:
+        with open(temps[0], "x", newline="") as fh, open(temps[1], "x") as th:
+            writer = csv.writer(fh)
+            writer.writerow(["replicate", "leaf", "position", "spacer"])
+            for rep in range(1, args.replicates + 1):
+                t = fixed if fixed is not None else sample_coalescent(
+                    coal_n, mix_seed(args.seed, 1, rep)
+                )
+                th.write(to_newick(t) + "\n")
+                result = simulate_tree(t, params, mix_seed(args.seed, 0, rep))
+                for leaf in t.leaves:
+                    for pos, token in enumerate(result.arrays[leaf], start=1):
+                        writer.writerow([rep, leaf, pos, token])
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in filter(os.path.exists, temps):
+            os.remove(temp)
     return 0
 
 
@@ -226,7 +232,9 @@ def cmd_estimate(args) -> int:
         for row in reader:
             try:
                 rep, m = int(row["replicate"]), int(row["M"])
-                ds = None if row[header[2]] == "" else [int(row[k]) for k in header[2:]]
+                # statistics are empty exactly when M < 2
+                empty = m < 2 and all(row[k] == "" for k in header[2:])
+                ds = None if empty else [int(row[k]) for k in header[2:]]
             except (TypeError, ValueError):
                 raise _bad_row(args.stats, reader, row) from None
             rows.append((rep, m, ds))
@@ -249,8 +257,8 @@ def cmd_estimate(args) -> int:
             raise CliError("need --trees or --T")
         else:
             times.append((args.T, args.Tprime))
-    # rows without statistics or with M < 2 are written as skipped
-    usable = [i for i, (_, m, ds) in enumerate(rows) if ds is not None and m >= 2]
+    # rows with M < 2 are written as skipped
+    usable = [i for i, (_, m, _) in enumerate(rows) if m >= 2]
     fits = {}  # row index -> (rho_hat, loglik, boundary)
     if is_pair:
         for i in usable:
@@ -310,12 +318,6 @@ def cmd_validate(args) -> int:
 # -- the coalescent recovery experiment --------------------------------
 
 
-# replicates per block of the recovery experiment.  Each block draws from
-# its own generator, seeded by (seed, grid index, block index), and rows
-# past --replicates are dropped, so a replicate's row does not depend on
-# the replicate count.
-FIG1_BLOCK = 512
-
 # the experiment's tree shapes: the leaf labels of a Kingman tree are
 # exchangeable, so for n = 3 the cherry is fixed as leaves 1 and 2
 _FIG1_NEWICK = {2: "(1:1,2:1);", 3: "((1:1,2:1):1,3:2);"}
@@ -323,14 +325,14 @@ _FIG1_NEWICK = {2: "(1:1,2:1);", 3: "((1:1,2:1):1,3:2);"}
 
 def _coalescent_block(n: int, rho: float, theta_factor: float, rng):
     """One block of replicates on n-leaf Kingman trees: the simulated
-    :class:`~spacerloss.process.Block` and the (FIG1_BLOCK x n-1) epoch
+    :class:`~spacerloss.process.Block` and the (BLOCK x n-1) epoch
     times, with k = n..2 lines in column n - k."""
     tree = parse_newick(_FIG1_NEWICK[n])
     # epoch k (k lines, from n down to 2) lasts Exp(k(k-1)/2)
     rates = np.array([k * (k - 1) / 2.0 for k in range(n, 1, -1)])
-    epochs = rng.exponential(1.0, (FIG1_BLOCK, n - 1)) / rates
+    epochs = rng.exponential(1.0, (BLOCK, n - 1)) / rates
     c1, c2 = tree.leaf_ids["1"], tree.leaf_ids["2"]
-    lengths = np.zeros((FIG1_BLOCK, tree.n_nodes))
+    lengths = np.zeros((BLOCK, tree.n_nodes))
     lengths[:, c1] = lengths[:, c2] = epochs[:, 0]
     if n == 3:
         lengths[:, tree.parent[c1]] = epochs[:, 1]
@@ -348,7 +350,7 @@ def _fig1_block(n: int, rho: float, theta_factor: float, rng, count: int):
     pair); both are false where M < 2."""
     sim, epochs = _coalescent_block(n, rho, theta_factor, rng)
     height = epochs.sum(axis=1)
-    m, totals = equal_spacers.interior_totals(sim.root_fates()[:count], n)
+    m, totals = equal_spacers.interior_totals(sim.fates(sim.tree.root)[:count], n)
     rho_hat = np.full(count, np.nan)
     boundary, suspect = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     used = np.flatnonzero(m >= 2)
@@ -380,12 +382,8 @@ def run_fig_experiment(config: ExperimentConfig):
     rows, summary = [], {}
     for gi, rho in enumerate(config.rho_grid):
         blocks = [
-            _fig1_block(
-                config.n, rho, config.theta_factor,
-                np.random.default_rng(mix_seed(config.seed, gi, k)),
-                min(FIG1_BLOCK, config.replicates - start),
-            )
-            for k, start in enumerate(range(0, config.replicates, FIG1_BLOCK))
+            _fig1_block(config.n, rho, config.theta_factor, rng, count)
+            for rng, count in seeded_blocks(config.seed, (gi,), config.replicates)
         ]
         rho_hat, boundary, suspect = (np.concatenate(x) for x in zip(*blocks))
         rows.extend(

@@ -16,11 +16,11 @@ yield absent statistics (``None``), never silent zeros.
 
 :func:`interior_totals` computes the interior statistics of a whole
 block of simulated replicates at once from the leaf masks of its root
-spacers (:meth:`spacerloss.process.Block.root_fates`).  That is exact
-under the ordered independent loss model: a spacer gained below the root
-never reaches every leaf, so every equal spacer is a root spacer, and
-gains sit at the leader end of every array, before the first equal
-spacer, in gap 0.
+spacers (``Block.fates(tree.root)``, see :class:`spacerloss.process.Block`).
+That is exact under the ordered independent loss model: a spacer gained
+below the root never reaches every leaf, so every equal spacer is a root
+spacer, and gains sit at the leader end of every array, before the first
+equal spacer, in gap 0.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ root array is the end of an infinitely long edge from an empty array.
 A block draws from one generator, edge by edge in preorder, so its
 result is a function of (tree, branch lengths, params, generator state).
 :func:`simulate_tree` is the one-row view with a generator seeded by
-``seed``; callers that run many replicates derive each seed with
-:func:`mix_seed`.
+``seed``; jobs that run many replicates share one block rule,
+:func:`seeded_blocks`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .tree import UltrametricTree
 
 __all__ = [
     "ModelParams", "LeafArrays", "Block", "simulate_block", "simulate_line",
-    "equilibrium_root", "simulate_tree", "splitmix64", "mix_seed",
+    "equilibrium_root", "simulate_tree", "splitmix64", "mix_seed", "BLOCK", "seeded_blocks",
 ]
 
 # token = (origin node << _TOKEN_SHIFT) | index; simulate_line's caller
@@ -57,6 +57,15 @@ def mix_seed(seed: int, *indices: int) -> int:
     return out
 
 
+BLOCK = 512  # rows per block of the jobs that run many replicates
+
+
+def seeded_blocks(seed: int, keys: tuple[int, ...], total: int):
+    """Yield (rng seeded by mix_seed(seed, *keys, k), rows kept) per block k of ``total`` rows."""
+    for k, start in enumerate(range(0, total, BLOCK)):
+        yield np.random.default_rng(mix_seed(seed, *keys, k)), min(BLOCK, total - start)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Gain rate ``theta`` and per-spacer loss rate ``rho`` (per unit
@@ -70,6 +79,8 @@ class ModelParams:
             raise ValueError("theta must be nonnegative and finite")
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError("rho must be positive and finite")
+        if not math.isfinite(self.theta / self.rho):  # the mean root array length
+            raise ValueError("theta / rho must be finite")
 
 
 @dataclass(frozen=True)
@@ -130,24 +141,22 @@ class Block:
             for leaf in self.tree.leaves
         }
 
-    def root_array(self, row: int) -> tuple[int, ...]:
-        base = self.tree.root << _TOKEN_SHIFT
-        return tuple(range(base, base + int(self.n_root[row])))
-
-    def root_fates(self) -> np.ndarray:
-        """(B x max n_root) leaf masks of the root spacers, in root order and
-        the leaf-bit order of :mod:`spacerloss.tree`, in the smallest
-        unsigned dtype that holds them; 0 marks a spacer lost from every
-        leaf or a column past the row's root count."""
+    def fates(self, node: int) -> np.ndarray:
+        """(B x gains) leaf masks of the spacers gained above ``node`` (at the
+        root: the root array) in array order, with the leaf bits of
+        :mod:`spacerloss.tree`, in the smallest unsigned dtype that holds them;
+        0 marks a spacer lost from every leaf or a column past the row's gains."""
         n = len(self.tree.leaves)
         if n > 64:
-            raise ValueError("root fate masks hold at most 64 leaves")
+            raise ValueError("fate masks hold at most 64 leaves")
         dtype = np.min_scalar_type((1 << n) - 1)
-        width = max(self.n_root.tolist())
-        fates = np.zeros((len(self.n_root), width), dtype)
+        fates = 0
         for bit, leaf in enumerate(self.tree.leaves):
-            alive = self.alive[leaf]
-            fates |= alive[:, alive.shape[1] - width:].astype(dtype) << bit
+            if self.tree.below[node] >> bit & 1:  # node's gains: one run of columns
+                origin = self.tokens[leaf] >> _TOKEN_SHIFT == node
+                start = origin.argmax() if origin.size else 0
+                run = self.alive[leaf][:, start:start + np.count_nonzero(origin)]
+                fates = fates | run.astype(dtype) << bit
         return fates
 
 
@@ -211,13 +220,7 @@ def simulate_line(
 def equilibrium_root(params: ModelParams, seed: int) -> tuple[int, ...]:
     """Stationary array: Poi(theta/rho) fresh spacers, the gains of an
     infinitely long edge."""
-    _, n_new = _edge_step(
-        np.random.default_rng(seed),
-        np.zeros((1, 0), bool),
-        np.zeros(1),
-        np.array([params.theta / params.rho]),
-    )
-    return tuple(range(int(n_new[0])))
+    return simulate_line((), params, math.inf, seed)
 
 
 def simulate_tree(tree: UltrametricTree, params: ModelParams, seed: int) -> LeafArrays:
@@ -230,6 +233,8 @@ def simulate_tree(tree: UltrametricTree, params: ModelParams, seed: int) -> Leaf
     block = simulate_block(
         tree, np.array([tree.length]), params, np.random.default_rng(seed)
     )
+    base = tree.root << _TOKEN_SHIFT
     return LeafArrays(
-        arrays=block.arrays(0), tree=tree, seed=seed, root_array=block.root_array(0)
+        arrays=block.arrays(0), tree=tree, seed=seed,
+        root_array=tuple(range(base, base + int(block.n_root[0]))),
     )

@@ -1,10 +1,10 @@
 """Monte Carlo validation of the simulator against the exact gap laws.
 
-:func:`sample_gaps` runs the simulator once per seed and records, per
-replicate, the first interior gap between equal spacers and the spacers
-gained below the root.  :func:`run_validation` compares those samples
-with the pair or triple gap law (chi-square) and with the Poisson means
-of the new spacers (z-scores).
+:func:`sample_gaps` runs blocks of replicates under ``replicate-fig1``'s
+block rule and reads off their fate masks the first interior gap of each
+replicate and its spacers gained below the root.  :func:`run_validation`
+compares those samples with the pair or triple gap law (chi-square) and
+with the Poisson means of the new spacers (z-scores).
 
 Only the first interior gap of each replicate is recorded: pooling a
 random number of gaps per replicate is length-biased, because replicates
@@ -14,17 +14,15 @@ with more equal spacers have shorter gaps.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable
 
 import numpy as np
 from scipy import stats as sps
 
 from . import likelihood
-from .equal_spacers import leaf_masks, mask_gaps
-from .process import ModelParams, mix_seed, simulate_tree
+from .equal_spacers import interior_totals
+from .process import BLOCK, ModelParams, seeded_blocks, simulate_block
 from .tree import UltrametricTree, parse_newick, poisson_mean_new, subset_mask
 
 __all__ = ["GapSample", "chisquare_from_counts", "run_validation", "sample_gaps"]
@@ -36,38 +34,40 @@ class GapSample:
 
     ``classes`` lists the nonempty proper leaf subsets ordered by size,
     then by label.  ``first_gaps`` maps a tuple of first-interior-gap
-    counts, one per class, to the number of replicates that showed it;
-    ``n_gaps`` is the number of replicates with at least two equal
-    spacers.  ``new_counts[K]`` totals, over all replicates, the spacers
-    gained below the root and held by exactly the leaves of K.
+    counts, one per class, to the number of replicates with at least two
+    equal spacers that showed it.  ``new_counts[K]`` totals, over all
+    replicates, the spacers gained below the root and held by exactly the
+    leaves of K.
     """
 
     classes: tuple[frozenset, ...]
     first_gaps: dict[tuple[int, ...], int]
-    n_gaps: int
     new_counts: dict[frozenset, int]
 
 
-def sample_gaps(tree: UltrametricTree, params: ModelParams, seeds: Iterable[int]) -> GapSample:
-    """Simulate one replicate per seed and collect a :class:`GapSample`."""
-    leaves = tree.leaves
+def sample_gaps(tree: UltrametricTree, params: ModelParams, trials: int, seed: int) -> GapSample:
+    """The :class:`GapSample` of ``trials`` replicates, block k seeded by ``mix_seed(seed, k)``."""
+    leaves, n = tree.leaves, len(tree.leaves)
     classes = tuple(
-        frozenset(K) for size in range(1, len(leaves)) for K in combinations(leaves, size)
+        frozenset(K) for size in range(1, n) for K in combinations(leaves, size)
     )
-    class_masks = tuple(subset_mask(leaves, K) for K in classes)
-    first_gaps: Counter = Counter()
-    new_counts: Counter = Counter()
-    for seed in seeds:
-        sim = simulate_tree(tree, params, seed)
-        masks = leaf_masks(sim.arrays)
-        m, gaps = mask_gaps(sim.arrays, masks)
-        if m >= 2:
-            first_gaps[tuple(gaps[k][1] if k in gaps else 0 for k in class_masks)] += 1
-        root = set(sim.root_array)
+    class_masks = [subset_mask(leaves, K) for K in classes]
+    first_gaps, new_counts = [], np.zeros(1 << n, np.int64)
+    for rng, count in seeded_blocks(seed, (), trials):
+        block = simulate_block(tree, np.tile(tree.length, (BLOCK, 1)), params, rng)
+        # every equal spacer is a root spacer; with the fates past a row's
+        # second equal spacer zeroed, its interior totals are its first gap
+        fates = block.fates(tree.root)[:count]
+        equal = fates == (1 << n) - 1
+        fates[np.cumsum(equal, axis=1) - equal >= 2] = 0
+        m, totals = interior_totals(fates, n)
+        first_gaps.append(totals[m >= 2][:, class_masks])
         # a spacer gained below the root never reaches every leaf
-        new_counts.update(k for s, k in masks.items() if s not in root)
-    new_totals = {K: new_counts[k] for K, k in zip(classes, class_masks)}
-    return GapSample(classes, dict(first_gaps), sum(first_gaps.values()), new_totals)
+        for v in tree.preorder()[1:]:
+            new_counts += np.bincount(block.fates(v)[:count].ravel(), minlength=1 << n)
+    keys, counts = np.unique(np.concatenate(first_gaps), axis=0, return_counts=True)
+    first = dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+    return GapSample(classes, first, {K: int(new_counts[k]) for K, k in zip(classes, class_masks)})
 
 
 def chisquare_from_counts(observed: dict, probs: dict, total: int, min_expected=5.0):
@@ -75,18 +75,15 @@ def chisquare_from_counts(observed: dict, probs: dict, total: int, min_expected=
     against model probabilities, pooling low-expectation cells."""
     keys = sorted(probs, key=lambda k: -probs[k])
     obs, exp = [], []
-    pool_o, pool_e = 0.0, 0.0
+    pool_e = 0.0
     for k in keys:
         e = probs[k] * total
-        o = observed.get(k, 0)
         if e >= min_expected:
-            obs.append(o)
+            obs.append(observed.get(k, 0))
             exp.append(e)
         else:
-            pool_o += o
             pool_e += e
-    leftover_o = total - sum(obs) - pool_o
-    pool_o += leftover_o
+    pool_o = total - sum(obs)  # the pooled cells and every key outside probs
     pool_e += max(total - sum(exp) - pool_e, 0.0)
     if pool_e > 0:
         obs.append(pool_o)
@@ -116,7 +113,7 @@ def run_validation(rho, theta, T, T_prime, trials, seed=0):
         raise ValueError("need T > Tprime for a three-leaf tree")
     else:
         tree = parse_newick(f"((1:{T_prime!r},2:{T_prime!r}):{T - T_prime!r},3:{T!r});")
-    sample = sample_gaps(tree, params, (mix_seed(seed, rep) for rep in range(trials)))
+    sample = sample_gaps(tree, params, trials, seed)
     gaps = sample.first_gaps
     cmax = max((max(k) for k in gaps), default=0) + 1
     if T_prime is None:
@@ -132,7 +129,7 @@ def run_validation(rho, theta, T, T_prime, trials, seed=0):
         for key in product(range(min(cmax, 4)), repeat=6):
             probs.setdefault(key, likelihood.triple_gap_pmf(*key, rho, T, T_prime))
         title = "triple gap pmf chi-square"
-    chi2, p = chisquare_from_counts(gaps, probs, sample.n_gaps)
+    chi2, p = chisquare_from_counts(gaps, probs, sum(gaps.values()))
     report = [(title, chi2, p)]
     for K in sample.classes:
         count = sample.new_counts[K]

@@ -1,11 +1,19 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spacerloss import process
-from spacerloss.equal_spacers import gap_decomposition, interior_totals, pair_stats, triple_stats
+from spacerloss.equal_spacers import (
+    gap_decomposition,
+    interior_totals,
+    leaf_masks,
+    mask_gaps,
+    pair_stats,
+    triple_stats,
+)
 from spacerloss.process import (
     ModelParams,
     equilibrium_root,
@@ -143,11 +151,28 @@ def _random_block(n, rows, theta, rho, seed):
 )
 def test_block_statistics_match_each_rows_tokens(n, rows, theta, rho, seed):
     block = _random_block(n, rows, theta, rho, seed)
-    m, totals = interior_totals(block.root_fates(), n)
-    leaves = block.tree.leaves
+    tree, leaves = block.tree, block.tree.leaves
+    fates = block.fates(tree.root)
+    m, totals = interior_totals(fates, n)
+    # sample_gaps' first gap: the interior totals once the fates past a
+    # row's second equal spacer are zeroed
+    equal = fates == 2**n - 1
+    fates[np.cumsum(equal, axis=1) - equal >= 2] = 0
+    first = interior_totals(fates, n)[1]
+    new = {v: block.fates(v) for v in range(tree.n_nodes) if v != tree.root}
     for b in range(rows):
         arrays = block.arrays(b)
+        masks = leaf_masks(arrays)
         gd = gap_decomposition(arrays)
+        if m[b] >= 2:
+            gaps = mask_gaps(arrays, masks)[1]
+            assert {k: int(first[b, k]) for k in range(1, 2**n - 1) if first[b, k]} == {
+                k: c[1] for k, c in gaps.items() if c[1]
+            }
+        # the tokens of node v's gains are (v << 40) | i
+        assert Counter(k for v, f in new.items() for k in f[b].tolist() if k) == Counter(
+            k for s, k in masks.items() if s >> 40 != tree.root
+        )
         assert m[b] == gd.m
         interior = {subset_mask(leaves, K): sum(c[1:]) for K, c in gd.counts.items()}
         assert {k: int(totals[b, k]) for k in range(1, 2**n - 1) if totals[b, k]} == {
@@ -170,10 +195,10 @@ def test_block_statistics_match_each_rows_tokens(n, rows, theta, rho, seed):
                 totals[b, b1 | b3] + totals[b, b2 | b3],
             )
         # gains sit at the leader end, root spacers after them in root order
-        root = set(block.root_array(b))
         for arr in arrays.values():
-            tail = [s for s in arr if s in root]
+            tail = [s for s in arr if s >> 40 == tree.root]
             assert arr[len(arr) - len(tail):] == tuple(tail) == tuple(sorted(tail))
+            assert set(tail) <= {(tree.root << 40) | i for i in range(block.n_root[b])}
 
 
 @settings(max_examples=30, deadline=None)
@@ -184,21 +209,20 @@ def test_simulate_tree_is_the_one_row_block(n, tree_seed, seed):
     sim = simulate_tree(tree, params, seed)
     block = simulate_block(tree, [tree.length], params, np.random.default_rng(seed))
     assert sim.arrays == block.arrays(0)
-    assert sim.root_array == block.root_array(0)
+    assert sim.root_array == tuple((tree.root << 40) | i for i in range(block.n_root[0]))
 
 
 def test_empty_and_fully_lost_blocks():
     tree = parse_newick("((1:1,2:1):1,3:2);")
     lengths = np.tile(tree.length, (5, 1))
     empty = simulate_block(tree, lengths, ModelParams(theta=0.0, rho=1.0), np.random.default_rng(0))
-    assert empty.root_fates().shape == (5, 0)
-    m, totals = interior_totals(empty.root_fates(), 3)
+    assert all(empty.fates(v).shape == (5, 0) for v in range(tree.n_nodes))
+    m, totals = interior_totals(empty.fates(tree.root), 3)
     assert m.tolist() == [0] * 5 and not totals.any()
     lost = simulate_block(tree, lengths, ModelParams(theta=1e8, rho=1e6), np.random.default_rng(0))
     assert lost.n_root.min() > 0
-    assert not lost.root_fates().any()
-    root = set(lost.root_array(0))
-    assert all(not root.intersection(arr) for arr in lost.arrays(0).values())
+    assert not lost.fates(tree.root).any()
+    assert all(s >> 40 != tree.root for arr in lost.arrays(0).values() for s in arr)
 
 
 def test_block_rejects_misshapen_lengths():
@@ -218,13 +242,13 @@ def test_validation_detects_a_doubled_loss_rate_on_one_edge(monkeypatch):
 
     def doubled_on_leaf_1(rng, alive, keep, gain):
         calls.append(None)
-        if len(calls) % 3 == 2:  # preorder per replicate: root, leaf 1, leaf 2
+        if len(calls) % 3 == 2:  # preorder per block: root, leaf 1, leaf 2
             keep = keep**2
         return edge_step(rng, alive, keep, gain)
 
     monkeypatch.setattr(process, "_edge_step", doubled_on_leaf_1)
     report = run_validation(1.0, 100.0, 1.0, None, 5000, 17)
-    assert len(calls) == 3 * 5000
+    assert len(calls) == 3 * math.ceil(5000 / 512)
     assert min(p for _, _, p in report) < 1e-4
     monkeypatch.undo()
     assert min(p for _, _, p in run_validation(1.0, 100.0, 1.0, None, 5000, 17)) >= 1e-4
