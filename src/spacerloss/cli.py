@@ -104,9 +104,11 @@ def _load_tree_source(source: str):
 
 
 def cmd_simulate(args) -> int:
+    paths = (args.out, args.trees_out or args.out + ".trees")
+    if os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise CliError(f"--out and --trees-out name the same file: {paths[0]}")
     fixed, coal_n = _load_tree_source(args.tree)
     params = ModelParams(theta=args.theta, rho=args.rho)
-    paths = (args.out, args.trees_out or args.out + ".trees")
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]  # renamed once complete
     try:
         with open(temps[0], "x", newline="") as fh, open(temps[1], "x") as th:
@@ -213,6 +215,16 @@ def cmd_stats(args) -> int:
 # -- estimate ----------------------------------------------------------
 
 
+def _report_flags(label: str, used: int, boundary: int, suspect: int) -> None:
+    """One stderr line: the used estimates and how many are boundary or
+    ``multimodal_suspect`` ones."""
+    print(
+        f"{label}: of {used} used replicates, {boundary} boundary, "
+        f"{suspect} multimodal_suspect",
+        file=sys.stderr,
+    )
+
+
 def _times_from_tree(t: UltrametricTree) -> tuple[float, float | None]:
     """(T, T') for a 2- or 3-leaf tree: T is the height, T' the cherry depth."""
     if len(t.leaves) == 2:
@@ -259,11 +271,11 @@ def cmd_estimate(args) -> int:
             times.append((args.T, args.Tprime))
     # rows with M < 2 are written as skipped
     usable = [i for i, (_, m, _) in enumerate(rows) if m >= 2]
-    fits = {}  # row index -> (rho_hat, loglik, boundary)
+    fits = {}  # row index -> (rho_hat, loglik, boundary, multimodal_suspect)
     if is_pair:
         for i in usable:
             res = estimate_rho_pair(rows[i][1], *rows[i][2], times[i][0])
-            fits[i] = (res.rho_hat, res.loglik, res.boundary)
+            fits[i] = (res.rho_hat, res.loglik, res.boundary, False)
     else:
         if any(times[i][1] is None for i in usable):
             raise CliError("triple estimation needs --Tprime or --trees")
@@ -273,15 +285,16 @@ def cmd_estimate(args) -> int:
             [times[i][0] for i in usable],
             [times[i][1] for i in usable],
         )
-        fits = dict(zip(
-            usable, zip(fit.rho_hat.tolist(), fit.loglik.tolist(), fit.boundary.tolist())
-        ))
+        fits = dict(zip(usable, zip(
+            fit.rho_hat.tolist(), fit.loglik.tolist(), fit.boundary.tolist(),
+            fit.multimodal_suspect.tolist(),
+        )))
     out = []  # built before the output is opened: an input error leaves no file
     for i, rep in enumerate(reps):
         if i not in fits:
             out.append([rep, "", "", "", "", "M<2"])
             continue
-        rho_hat, loglik, boundary = fits[i]
+        rho_hat, loglik, boundary, _ = fits[i]
         theta = ""
         if arrays is not None and rho_hat > 0:
             if rep not in arrays:
@@ -294,6 +307,9 @@ def cmd_estimate(args) -> int:
             ["replicate", "rho_hat", "theta_hat", "loglik", "boundary", "skipped_reason"]
         )
         writer.writerows(out)
+    _report_flags(
+        args.stats, len(fits), sum(f[2] for f in fits.values()), sum(f[3] for f in fits.values())
+    )
     return 0
 
 
@@ -301,7 +317,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # imported here: scipy.stats is slow to load and only validation uses it
+    # imported here: validation is the one command that loads scipy
+    # (scipy.stats, and scipy.special through the pmfs it checks), whose
+    # import takes longer than numpy's and the package's together
     from .validation import run_validation
 
     if args.trials < 1000:
@@ -442,11 +460,7 @@ def cmd_replicate_fig1(args) -> int:
             )
         else:
             print(f"rho={_fmt(rho)}: all {s['skipped']} replicates skipped")
-        print(
-            f"rho={_fmt(rho)}: of {s['used']} used replicates, {s['boundary']} boundary, "
-            f"{s['multimodal_suspect']} multimodal_suspect",
-            file=sys.stderr,
-        )
+        _report_flags(f"rho={_fmt(rho)}", s["used"], s["boundary"], s["multimodal_suspect"])
     return 0
 
 

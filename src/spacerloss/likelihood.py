@@ -5,6 +5,11 @@ coefficients, so counts up to 1e6 are handled without overflow.  The
 count arguments of :func:`pair_gap_pmf`, :func:`triple_gap_pmf` and
 :meth:`GeneralGapLaw.logpmf_array` broadcast over numpy arrays.
 
+Only validation and tests call these pmfs and
+:func:`pair_sampling_logpmf`; they import ``scipy.special`` when called.
+The conditional log-likelihoods and the score that estimation uses need
+numpy alone, so importing this module does not load scipy.
+
 Gap counts follow the "unshared" convention throughout: a gap value a
 is the number of spacers strictly between two consecutive equal spacers
 (the bounding equal spacers are not counted), so a = 0 for adjacent
@@ -26,7 +31,6 @@ from numbers import Integral
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 # ``p_exact_subset`` is not called here; the benchmark's call counter
 # wraps it under this module's name
@@ -67,6 +71,8 @@ def _exp_neg(rho: float, T: float) -> float:
 
 def pair_gap_logpmf(a, b, rho: float, T: float):
     """log P(A=a, B=b): C(a+b, a) * (p / (2-p)) * x^(a+b), p = e^{-rho T}."""
+    from scipy.special import gammaln, xlogy
+
     _check_rate_time(rho, T)
     a = np.asarray(a)
     b = np.asarray(b)
@@ -112,6 +118,8 @@ def pair_sampling_logpmf(v, w, theta: float, rho: float, T: float) -> float:
     theta/rho * (1 - e^{-rho T}); later segments factorize over the gap
     law.
     """
+    from scipy.special import logsumexp
+
     _check_rate_time(rho, T)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
@@ -139,6 +147,8 @@ def pair_sampling_logpmf(v, w, theta: float, rho: float, T: float) -> float:
 
 
 def _poisson_logpmf(k, mean: float):
+    from scipy.special import gammaln, xlogy
+
     k = np.asarray(k)
     if mean == 0.0:
         return np.where(k == 0, 0.0, -np.inf)
@@ -184,6 +194,8 @@ def die_probs_triple(rho: float, T: float, T_prime: float) -> tuple[float, ...]:
 def triple_gap_logpmf(a, b, c, d, e, f, rho: float, T: float, T_prime: float):
     """log P of one interior-gap count tuple: multinomial times the
     per-class factors q_i/(1-q7) with final factor q8/(1-q7)."""
+    from scipy.special import gammaln, xlogy
+
     counts = [np.asarray(x) for x in (a, b, c, d, e, f)]
     for x in counts:
         if np.any(x < 0):
@@ -201,6 +213,14 @@ def triple_gap_logpmf(a, b, c, d, e, f, rho: float, T: float, T_prime: float):
 def triple_gap_pmf(a, b, c, d, e, f, rho: float, T: float, T_prime: float):
     out = np.exp(triple_gap_logpmf(a, b, c, d, e, f, rho, T, T_prime))
     return out if isinstance(out, np.ndarray) else float(out)
+
+
+def _xlogy(x, y):
+    """x log y, with 0 log y = 0 even where y = 0 (a = 1 - e^{-rho T}
+    underflows to 0 once rho T is subnormal), and x log 0 = -inf without
+    a warning: the convention of ``scipy.special.xlogy``."""
+    with np.errstate(divide="ignore"):
+        return x * np.log(np.where(x == 0, 1.0, y))
 
 
 def _check_triple_stats(m, ds, rho_positive: bool, T, T_prime) -> None:
@@ -243,9 +263,9 @@ def triple_conditional_loglik(m, d1, d2, d3, d4, rho, T, T_prime):
         rho * (-(m - 1) * (T + T_prime))
         + d3 * log_pTp
         + d4 * log_pT
-        + xlogy(d1 + d3, a)
-        + xlogy(d1 + d4, ap)
-        + xlogy(d2, c2)
+        + _xlogy(d1 + d3, a)
+        + _xlogy(d1 + d4, ap)
+        + _xlogy(d2, c2)
         - (m - 1 + d1 + d2 + d3 + d4) * np.log(r)
     )
     return total if total.ndim else float(total)
@@ -377,6 +397,8 @@ class GeneralGapLaw:
     def logpmf_array(self, counts: np.ndarray) -> np.ndarray:
         """Vectorized logpmf; ``counts`` has one column per subset, column
         ``mask - 1`` for the subset of ``mask``."""
+        from scipy.special import gammaln
+
         counts = np.asarray(counts)
         s = counts.sum(axis=-1)
         out = (

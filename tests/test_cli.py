@@ -129,6 +129,34 @@ def test_estimate_triple_rows_match_the_one_row_estimator(tmp_path):
     assert kinds == {"skipped", "boundary", "interior"}
 
 
+PAIR_STATS = ("replicate,M,D", ["1,5,0", "2,4,3", "3,1,", "4,6,2"], ["--T", "1"])
+TRIPLE_STATS = (
+    "replicate,M,D1,D2,D3,D4", ["1,5,0,0,0,0", "2,4,3,1,0,2", "3,1,,,,", "4,6,2,0,1,0"],
+    ["--T", "1", "--Tprime", "0.4"],
+)
+
+
+@pytest.mark.parametrize("stats_file, flip_suspect", [
+    (PAIR_STATS, False), (TRIPLE_STATS, False), (TRIPLE_STATS, True),
+])
+def test_estimate_reports_its_flags_on_stderr(
+    tmp_path, monkeypatch, capsys, stats_file, flip_suspect
+):
+    # replicate 1 is a boundary estimate (all D = 0) and replicate 3 is skipped
+    header, rows, times = stats_file
+    stats = tmp_path / "stats.csv"
+    write(stats, "\n".join([header] + rows) + "\n")
+    if flip_suspect:  # the triple estimator's flags reach the line unchanged
+        monkeypatch.setattr(cli, "triple_mle", lambda *args: triple_mle(*args)._replace(
+            multimodal_suspect=np.ones(3, dtype=bool)
+        ))
+    out = tmp_path / "est.csv"
+    assert run_cli("estimate", "--stats", str(stats), *times, "--out", str(out)) == 0
+    assert capsys.readouterr() == (
+        "", f"{stats}: of 3 used replicates, 1 boundary, {3 * flip_suspect} multimodal_suspect\n"
+    )
+
+
 def test_stats_triple_without_trees_fails(tmp_path, capsys):
     tree = tmp_path / "tree.nwk"
     write(tree, TRIPLE)
@@ -369,6 +397,19 @@ def test_failed_simulate_leaves_no_files(tmp_path, monkeypatch):
         "--out", str(out), "--trees-out", str(tmp_path / "t.nwk"),
     ) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("trees_out", ["a.csv", "./sub/../a.csv"])
+def test_simulate_rejects_one_path_for_both_outputs(tmp_path, monkeypatch, capsys, trees_out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert run_cli(
+        "simulate", "--tree", "coalescent:2", "--theta", "5", "--rho", "1",
+        "--replicates", "2", "--seed", "1", "--out", "a.csv", "--trees-out", trees_out,
+    ) == 2
+    assert capsys.readouterr().err == "error: --out and --trees-out name the same file: a.csv\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
 
 
 def test_stats_rejects_arrays_without_replicates(tmp_path, capsys):
@@ -685,11 +726,43 @@ def test_fig1_block_mean_equal_spacers_match_the_coalescent():
         assert abs(z) < 4.0, (n, ms.mean(), want)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+_NO_SCIPY_RUN = """
+import sys
+import spacerloss
+from spacerloss.cli import main
+
+steps = [
+    ["simulate", "--tree", "coalescent:{n}", "--theta", "20", "--rho", "1",
+     "--replicates", "30", "--seed", "1", "--out", "a{n}.csv"],
+    ["stats", "--arrays", "a{n}.csv", "--trees", "a{n}.csv.trees", "--out", "s{n}.csv"],
+    ["estimate", "--stats", "s{n}.csv", "--trees", "a{n}.csv.trees", "--arrays", "a{n}.csv",
+     "--out", "e{n}.csv"],
+    ["replicate-fig1", "--n", "{n}", "--rho-grid", "0.5,2", "--replicates", "100",
+     "--out", "f{n}.csv"],
+]
+assert "scipy" not in sys.modules
+for n in (2, 3):
+    for step in steps:
+        argv = [arg.format(n=n) for arg in step]
+        assert main(argv) == 0, argv
+        assert "scipy" not in sys.modules, argv
+assert main(["validate", "--rho", "1", "--theta", "100", "--T", "0.5", "--trials", "1000",
+             "--seed", "2"]) == 0
+assert "scipy.special" in sys.modules
+print("ok")
+"""
+
+
+def test_cli_commands_run_without_loading_scipy(tmp_path):
+    # every command but validate runs on numpy alone; validate loads scipy
+    package_root = os.path.dirname(os.path.dirname(spacerloss.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    ))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, spacerloss.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-X", "dev", "-c", _NO_SCIPY_RUN],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "ok"
+    assert "Warning" not in proc.stderr

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import xlogy
 
 from spacerloss.likelihood import (
+    MAX_RHO_T,
     GeneralGapLaw,
     die_probs_pair,
     die_probs_triple,
@@ -262,6 +265,45 @@ def test_triple_score_rejects_what_the_loglik_rejects():
         for f in (triple_conditional_loglik, triple_conditional_score):
             with pytest.raises(ValueError, match=message):
                 f(*args)
+
+
+def _triple_loglik_with_scipy_xlogy(m, d1, d2, d3, d4, rho, T, T_prime):
+    # the terms of triple_conditional_loglik, with scipy's xlogy
+    log_pT = np.maximum(rho * -T, -MAX_RHO_T)
+    log_pTp = np.maximum(rho * -T_prime, -MAX_RHO_T)
+    a, ap = -np.expm1(log_pT), -np.expm1(log_pTp)
+    both = np.exp(log_pT + log_pTp)
+    c2 = a * a - both * np.expm1(rho * (T_prime - T))
+    return (
+        rho * (-(m - 1) * (T + T_prime))
+        + d3 * log_pTp
+        + d4 * log_pT
+        + xlogy(d1 + d3, a)
+        + xlogy(d1 + d4, ap)
+        + xlogy(d2, c2)
+        - (m - 1 + d1 + d2 + d3 + d4) * np.log(ap + 2.0 * a + both)
+    )
+
+
+def test_triple_loglik_keeps_xlogy_values_and_its_zero_convention():
+    rng = np.random.default_rng(12)
+    rows = 20000
+    m = rng.integers(2, 300, rows)
+    # about 40% of the statistics are zero
+    d = rng.integers(0, 500, (4, rows)) * (rng.random((4, rows)) < 0.6)
+    rho = 10.0 ** rng.uniform(-8, 2, rows)
+    T = 10.0 ** rng.uniform(-2, 1, rows)
+    Tp = T * rng.uniform(0.01, 1.0, rows)
+    # 1 - e^{-rho T} underflows to 0 at subnormal times
+    m[:3], d[:, :3] = 3, [[0, 1, 0], [0, 0, 2], [0, 0, 0], [0, 0, 0]]
+    rho[:3], T[:3], Tp[:3] = 1e-8, 1e-317, 1e-317
+    got = triple_conditional_loglik(m, *d, rho, T, Tp)
+    want = _triple_loglik_with_scipy_xlogy(m, *d, rho, T, Tp)
+    assert list(got[:3]) == list(want[:3]) == [0.0, -math.inf, -math.inf]
+    assert np.all(np.abs(got[3:] - want[3:]) <= 4 * np.spacing(np.abs(want[3:])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert triple_conditional_loglik(3, 0, 0, 0, 0, 1e-8, 1e-317, 1e-317) == 0.0
 
 
 def test_general_law_matches_pair_small_grid():
