@@ -36,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equal_spacers, tree as treemod
-from .estimators import (
-    estimate_rho_pair,
-    estimate_theta_moment,
-    pair_closed_form,
-    triple_mle,
-)
+from .estimators import estimate_theta_moment, pair_mle, triple_mle
 from .process import BLOCK, ModelParams, mix_seed, seeded_blocks, simulate_block, simulate_tree
 from .tree import UltrametricTree, parse_newick, sample_coalescent, to_newick
 
@@ -64,8 +59,10 @@ class ExperimentConfig:
             raise ValueError("sample size must be 2 or 3")
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
-        if any(r <= 0 for r in self.rho_grid):
-            raise ValueError("rho grid values must be positive")
+        if not all(0 < r < math.inf for r in self.rho_grid):
+            raise ValueError("rho grid values must be positive and finite")
+        if not 0 <= self.theta_factor < math.inf:
+            raise ValueError("theta factor must be nonnegative and finite")
         if len(set(self.rho_grid)) != len(self.rho_grid):
             raise ValueError("rho grid values must be distinct")
 
@@ -269,32 +266,27 @@ def cmd_estimate(args) -> int:
             raise CliError("need --trees or --T")
         else:
             times.append((args.T, args.Tprime))
-    # rows with M < 2 are written as skipped
+    # rows with M < 2 are written as skipped; the others are estimated in one call
     usable = [i for i, (_, m, _) in enumerate(rows) if m >= 2]
-    fits = {}  # row index -> (rho_hat, loglik, boundary, multimodal_suspect)
+    try:  # columns M, then D or D1..D4
+        stats = np.array([[rows[i][1], *rows[i][2]] for i in usable], dtype=np.int64)
+    except OverflowError:
+        raise CliError(f"{args.stats} holds a count beyond the int64 range") from None
+    stats = stats.reshape(-1, len(header) - 1)
+    T = [times[i][0] for i in usable]
     if is_pair:
-        for i in usable:
-            res = estimate_rho_pair(rows[i][1], *rows[i][2], times[i][0])
-            fits[i] = (res.rho_hat, res.loglik, res.boundary, False)
+        fit = pair_mle(stats[:, 0], stats[:, 1], T)
+    elif any(times[i][1] is None for i in usable):
+        raise CliError("triple estimation needs --Tprime or --trees")
     else:
-        if any(times[i][1] is None for i in usable):
-            raise CliError("triple estimation needs --Tprime or --trees")
-        fit = triple_mle(
-            [rows[i][1] for i in usable],
-            np.array([rows[i][2] for i in usable], dtype=np.int64).reshape(-1, 4),
-            [times[i][0] for i in usable],
-            [times[i][1] for i in usable],
-        )
-        fits = dict(zip(usable, zip(
-            fit.rho_hat.tolist(), fit.loglik.tolist(), fit.boundary.tolist(),
-            fit.multimodal_suspect.tolist(),
-        )))
+        fit = triple_mle(stats[:, 0], stats[:, 1:], T, [times[i][1] for i in usable])
+    fitted = zip(fit.rho_hat.tolist(), fit.loglik.tolist(), fit.boundary.tolist())
     out = []  # built before the output is opened: an input error leaves no file
-    for i, rep in enumerate(reps):
-        if i not in fits:
+    for rep, m, _ in rows:
+        if m < 2:
             out.append([rep, "", "", "", "", "M<2"])
             continue
-        rho_hat, loglik, boundary, _ = fits[i]
+        rho_hat, loglik, boundary = next(fitted)
         theta = ""
         if arrays is not None and rho_hat > 0:
             if rep not in arrays:
@@ -308,7 +300,7 @@ def cmd_estimate(args) -> int:
         )
         writer.writerows(out)
     _report_flags(
-        args.stats, len(fits), sum(f[2] for f in fits.values()), sum(f[3] for f in fits.values())
+        args.stats, len(usable), int(fit.boundary.sum()), int(fit.multimodal_suspect.sum())
     )
     return 0
 
@@ -363,9 +355,8 @@ def _fig1_block(n: int, rho: float, theta_factor: float, rng, count: int):
     """Simulate one block and estimate its first ``count`` replicates.
 
     Returns rho_hat per replicate (NaN where M < 2) and two boolean arrays
-    of the same length, true where the estimate is a boundary one (for a
-    pair, D = 0) and where it is ``multimodal_suspect`` (never for a
-    pair); both are false where M < 2."""
+    of the same length, true where the estimate is a boundary one and
+    where it is ``multimodal_suspect``; both are false where M < 2."""
     sim, epochs = _coalescent_block(n, rho, theta_factor, rng)
     height = epochs.sum(axis=1)
     m, totals = equal_spacers.interior_totals(sim.fates(sim.tree.root)[:count], n)
@@ -373,16 +364,12 @@ def _fig1_block(n: int, rho: float, theta_factor: float, rng, count: int):
     boundary, suspect = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     used = np.flatnonzero(m >= 2)
     if n == 2:
-        d = equal_spacers.interior_statistics(totals[used])
-        rho_hat[used] = pair_closed_form(m[used], d, height[used])[1]
-        boundary[used] = d == 0
-        return rho_hat, boundary, suspect
-    # leaf bits 1 and 2 stand for the cherry leaves 1 and 2
-    ds = equal_spacers.interior_statistics(totals[used], (1, 2))
-    fit = triple_mle(m[used], ds, height[used], epochs[used, 0])
-    rho_hat[used], boundary[used], suspect[used] = (
-        fit.rho_hat, fit.boundary, fit.multimodal_suspect
-    )
+        fit = pair_mle(m[used], equal_spacers.interior_statistics(totals[used]), height[used])
+    else:
+        # leaf bits 1 and 2 stand for the cherry leaves 1 and 2
+        ds = equal_spacers.interior_statistics(totals[used], (1, 2))
+        fit = triple_mle(m[used], ds, height[used], epochs[used, 0])
+    rho_hat[used], boundary[used], suspect[used] = fit.rho_hat, fit.boundary, fit.multimodal_suspect
     return rho_hat, boundary, suspect
 
 

@@ -4,10 +4,10 @@ The pair estimator has a closed form; the triple estimator brackets the
 maximum of the conditional log-likelihood on a grid and solves for the
 root of its closed-form score inside the bracket by safeguarded Newton,
 which stops a row as soon as its Newton step is within TRIPLE_TOL
-relative, before any bisection fallback.  Both work on batches of rows:
-:func:`pair_closed_form` broadcasts, and :func:`triple_mle` runs the
-grid and the Newton steps on all rows at once, with
-:func:`estimate_rho_triple` as its one-row view.  Boundary optima are
+relative, before any bisection fallback.  Both estimate a batch of rows
+at once and return one :class:`Fit`: :func:`pair_mle` and
+:func:`triple_mle`, with :func:`estimate_rho_pair` and
+:func:`estimate_rho_triple` as their one-row views.  Boundary optima are
 flagged, never silently returned as interior values, and datasets with
 fewer than two equal spacers are rejected with a typed error so
 experiment harnesses can count them.
@@ -31,10 +31,10 @@ __all__ = [
     "estimate_rho_pair",
     "estimate_rho_triple",
     "estimate_theta_moment",
+    "Fit",
     "negbin_p_mle",
-    "pair_closed_form",
+    "pair_mle",
     "triple_mle",
-    "TripleFit",
     "TRIPLE_BRACKET_LOW",
 ]
 
@@ -63,48 +63,9 @@ class EstimateResult:
     diagnostics: Mapping = field(default_factory=dict)
 
 
-def pair_closed_form(m, d, T):
-    """The pair MLE: p* = (1 + d/(2(m-1)))^{-1} and rho* = -log(p*)/T, with
-    d = 0 giving the exact boundary value rho* = 0.  Returns (p*, rho*) and
-    broadcasts over arrays; every m must be >= 2."""
-    p_star = 1.0 / (1.0 + d / (2.0 * (m - 1)))
-    return p_star, np.where(d == 0, 0.0, -np.log(p_star) / T)  # -log(1) / T is -0.0
-
-
-def estimate_rho_pair(m: int, d: int, T: float) -> EstimateResult:
-    """Closed-form MLE from a two-leaf sample, see :func:`pair_closed_form`."""
-    if m < 2:
-        raise InsufficientDataError("pair estimator requires m >= 2")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if not T > 0:
-        raise ValueError("T must be positive")
-    p_star, rho_star = pair_closed_form(m, d, T)
-    rho_star = float(rho_star)
-    boundary = d == 0
-    loglik = (
-        pair_conditional_loglik(m, d, rho_star, T) if rho_star > 0 else 0.0
-    )  # at rho = 0 every gap is empty with probability 1
-    return EstimateResult(
-        rho_hat=rho_star,
-        loglik=loglik,
-        method="pair-closed-form",
-        boundary=boundary,
-        diagnostics={"m": m, "d": d, "p_star": p_star},
-    )
-
-
-def negbin_p_mle(m: int, d: int) -> float:
-    """MLE of p when d is modeled as NegBin(2(m-1), p); algebraically
-    identical to the pair estimator's p*."""
-    if m < 2:
-        raise InsufficientDataError("requires m >= 2")
-    r = 2 * (m - 1)
-    return r / (r + d)
-
-
-class TripleFit(NamedTuple):
-    """Triple MLEs of a batch, one entry per row; see :func:`triple_mle`."""
+class Fit(NamedTuple):
+    """The MLEs of a batch, one entry per row; see :func:`pair_mle` and
+    :func:`triple_mle`."""
 
     rho_hat: np.ndarray
     loglik: np.ndarray
@@ -112,8 +73,64 @@ class TripleFit(NamedTuple):
     multimodal_suspect: np.ndarray
     grid_argmax: np.ndarray
 
+    @classmethod
+    def at_zero(cls, boundary) -> Fit:
+        """Every estimate 0 with log-likelihood 0, none suspect and no grid."""
+        rows = len(boundary)
+        return cls(np.zeros(rows), np.zeros(rows), boundary, np.zeros(rows, dtype=bool),
+                   np.full(rows, np.nan))
 
-def triple_mle(m, d, T, T_prime) -> TripleFit:
+    def first_row(self, method: str, diagnostics: Mapping) -> EstimateResult:
+        """The first row as an :class:`EstimateResult`."""
+        return EstimateResult(float(self.rho_hat[0]), float(self.loglik[0]), method,
+                              bool(self.boundary[0]), diagnostics)
+
+
+def pair_mle(m, d, T) -> Fit:
+    """Closed-form MLEs from B two-leaf samples at once; ``m``, ``d`` and
+    ``T`` broadcast to (B,).  The estimate is rho* = -log(p*)/T with p*
+    from :func:`negbin_p_mle`.  A row with d = 0 is a boundary one, with
+    the exact value 0 and log-likelihood 0 (at rho = 0 every gap is empty
+    with probability 1).  A pair has no grid: no row is
+    ``multimodal_suspect`` and every ``grid_argmax`` is NaN."""
+    m, d, T = np.broadcast_arrays(*np.atleast_1d(m, d, T))
+    if np.any(m < 2):
+        raise InsufficientDataError("pair estimator requires m >= 2")
+    if np.any(d < 0):
+        raise ValueError("d must be nonnegative")
+    if not np.all(T > 0):
+        raise ValueError("T must be positive")
+    fit = Fit.at_zero(d == 0)
+    live = np.flatnonzero(d)
+    if not live.size:
+        return fit
+    m, d, T = m[live], d[live], T[live]
+    with np.errstate(over="ignore"):  # an infinite estimate fails the range check
+        rho_hat = -np.log(negbin_p_mle(m, d)) / T
+    if not np.all((rho_hat > 0) & (rho_hat < math.inf)):
+        raise ValueError("T is out of range for the pair estimate")
+    fit.rho_hat[live] = rho_hat
+    fit.loglik[live] = pair_conditional_loglik(m, d, rho_hat, T)
+    return fit
+
+
+def estimate_rho_pair(m: int, d: int, T: float) -> EstimateResult:
+    """Closed-form MLE from a two-leaf sample: the one-row view of
+    :func:`pair_mle`, with p* in ``diagnostics``."""
+    return pair_mle(m, d, T).first_row(
+        "pair-closed-form", {"m": m, "d": d, "p_star": negbin_p_mle(m, d)}
+    )
+
+
+def negbin_p_mle(m, d):
+    """MLE of p when d is modeled as NegBin(2(m-1), p), which is the pair
+    estimator's p* = (1 + d/(2(m-1)))^{-1}; broadcasts over arrays."""
+    if np.any(np.asarray(m) < 2):
+        raise InsufficientDataError("requires m >= 2")
+    return 1.0 / (1.0 + d / (2.0 * (m - 1)))
+
+
+def triple_mle(m, d, T, T_prime) -> Fit:
     """Numeric MLEs from B three-leaf samples at once.
 
     ``m``, ``T`` and ``T_prime`` broadcast to (B,) and ``d`` is (B x 4),
@@ -139,14 +156,7 @@ def triple_mle(m, d, T, T_prime) -> TripleFit:
         raise InsufficientDataError("triple estimator requires m >= 2")
     if not np.all((T >= T_prime) & (T_prime > 0)):
         raise ValueError("need T >= T_prime > 0")
-    rows = len(d)
-    fit = TripleFit(
-        rho_hat=np.zeros(rows),
-        loglik=np.zeros(rows),
-        boundary=np.ones(rows, dtype=bool),
-        multimodal_suspect=np.zeros(rows, dtype=bool),
-        grid_argmax=np.full(rows, np.nan),
-    )
+    fit = Fit.at_zero(np.ones(len(d), dtype=bool))
     live = np.flatnonzero(d.any(axis=1))
     if not live.size:
         return fit
@@ -237,13 +247,7 @@ def estimate_rho_triple(
             multimodal_suspect=bool(fit.multimodal_suspect[0]),
             grid_argmax=float(fit.grid_argmax[0]),
         )
-    return EstimateResult(
-        rho_hat=float(fit.rho_hat[0]),
-        loglik=float(fit.loglik[0]),
-        method="triple-numeric",
-        boundary=bool(fit.boundary[0]),
-        diagnostics=diagnostics,
-    )
+    return fit.first_row("triple-numeric", diagnostics)
 
 
 def estimate_theta_moment(rho_hat: float, arrays: Mapping[str, Sequence]) -> float:

@@ -55,11 +55,28 @@ __all__ = [
 MAX_RHO_T = 700.0
 
 
-def _check_rate_time(rho: float, T: float, name: str = "T") -> None:
-    if not rho > 0:
+def _check_times(rho, T, T_prime=None) -> None:
+    """Checks of the loss rate and the times, ``T_prime`` being None for a
+    pair; every argument may be an array."""
+    if not np.all(np.asarray(rho) > 0):
         raise ValueError("rho must be positive")
-    if not T > 0:
-        raise ValueError(f"{name} must be positive")
+    if not np.all(np.asarray(T) > 0):
+        raise ValueError("T must be positive")
+    if T_prime is not None:
+        if not np.all(np.asarray(T_prime) > 0):
+            raise ValueError("T_prime must be positive")
+        if np.any(np.asarray(T) < T_prime):
+            raise ValueError("T must be >= T_prime")
+
+
+def _check_stats(m, ds, rho, T, T_prime=None) -> None:
+    """The checks of the conditional log-likelihoods and the triple score:
+    m >= 2 and nonnegative statistics, then :func:`_check_times`."""
+    if np.any(np.asarray(m) < 2):
+        raise ValueError("need at least 2 equal spacers")
+    if any(np.any(np.asarray(d) < 0) for d in ds):
+        raise ValueError("statistics must be nonnegative")
+    _check_times(rho, T, T_prime)
 
 
 def _exp_neg(rho: float, T: float) -> float:
@@ -73,7 +90,7 @@ def pair_gap_logpmf(a, b, rho: float, T: float):
     """log P(A=a, B=b): C(a+b, a) * (p / (2-p)) * x^(a+b), p = e^{-rho T}."""
     from scipy.special import gammaln, xlogy
 
-    _check_rate_time(rho, T)
+    _check_times(rho, T)
     a = np.asarray(a)
     b = np.asarray(b)
     if np.any(a < 0) or np.any(b < 0):
@@ -103,7 +120,7 @@ def pair_gap_pmf(a, b, rho: float, T: float):
 def die_probs_pair(rho: float, T: float) -> tuple[float, float, float, float]:
     """Exact-fate probabilities (p1..p4) of a root spacer on a cherry:
     kept in leaf 1 only, leaf 2 only, neither, both."""
-    _check_rate_time(rho, T)
+    _check_times(rho, T)
     p = _exp_neg(rho, T)
     return (p * (1.0 - p), p * (1.0 - p), (1.0 - p) ** 2, p * p)
 
@@ -120,7 +137,7 @@ def pair_sampling_logpmf(v, w, theta: float, rho: float, T: float) -> float:
     """
     from scipy.special import logsumexp
 
-    _check_rate_time(rho, T)
+    _check_times(rho, T)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     v = list(v)
@@ -155,19 +172,20 @@ def _poisson_logpmf(k, mean: float):
     return xlogy(k, mean) - mean - gammaln(k + 1)
 
 
-def pair_conditional_loglik(m: int, d: int, rho: float, T: float) -> float:
+def pair_conditional_loglik(m, d, rho, T):
     """Conditional log-likelihood of the interior gaps given m equal
-    spacers: (m-1) log(p/(2-p)) + d log((1-p)/(2-p))."""
-    if m < 2:
-        raise ValueError("need at least 2 equal spacers")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    _check_rate_time(rho, T)
-    p = _exp_neg(rho, T)
-    log_2mp = math.log(2.0 - p)
-    term_p = -rho * T - log_2mp
-    term_x = (math.log1p(-p) - log_2mp) if p < 1.0 else -math.inf
-    return (m - 1) * term_p + (d * term_x if d else 0.0)
+    spacers: (m-1) log(p/(2-p)) + d log((1-p)/(2-p)) with p = e^{-rho T}.
+    Every argument broadcasts over numpy arrays; scalar arguments give a
+    float."""
+    rho = np.asarray(rho, dtype=float)
+    _check_stats(m, (d,), rho, T)
+    rho_T = rho * T
+    p = np.exp(-np.minimum(rho_T, MAX_RHO_T))
+    log_2mp = np.log(2.0 - p)
+    with np.errstate(divide="ignore"):  # p = 1 below float resolution: log 0
+        term_x = np.log1p(-p) - log_2mp
+    total = (m - 1) * (-rho_T - log_2mp) + d * np.where(d == 0, 0.0, term_x)
+    return total if total.ndim else float(total)
 
 
 # -- three leaves ------------------------------------------------------
@@ -176,10 +194,7 @@ def pair_conditional_loglik(m: int, d: int, rho: float, T: float) -> float:
 def die_probs_triple(rho: float, T: float, T_prime: float) -> tuple[float, ...]:
     """Exact-fate probabilities (q1..q8) of a root spacer on the 3-leaf
     topology: kept in {1}, {2}, {3}, {1,2}, {1,3}, {2,3}, none, all."""
-    _check_rate_time(rho, T)
-    _check_rate_time(rho, T_prime, "T_prime")
-    if T < T_prime:
-        raise ValueError("T must be >= T_prime")
+    _check_times(rho, T, T_prime)
     pT = _exp_neg(rho, T)
     pTp = _exp_neg(rho, T_prime)
     q1 = pT * (1.0 - pTp) * (1.0 - pT)
@@ -223,23 +238,6 @@ def _xlogy(x, y):
         return x * np.log(np.where(x == 0, 1.0, y))
 
 
-def _check_triple_stats(m, ds, rho_positive: bool, T, T_prime) -> None:
-    """Argument checks shared by the triple conditional log-likelihood and
-    its score; every argument may be an array."""
-    if np.any(np.asarray(m) < 2):
-        raise ValueError("need at least 2 equal spacers")
-    if any(np.any(np.asarray(d) < 0) for d in ds):
-        raise ValueError("statistics must be nonnegative")
-    if not rho_positive:
-        raise ValueError("rho must be positive")
-    if not np.all(np.asarray(T) > 0):
-        raise ValueError("T must be positive")
-    if not np.all(np.asarray(T_prime) > 0):
-        raise ValueError("T_prime must be positive")
-    if np.any(np.asarray(T) < T_prime):
-        raise ValueError("T must be >= T_prime")
-
-
 def triple_conditional_loglik(m, d1, d2, d3, d4, rho, T, T_prime):
     """Conditional log-likelihood of the interior gaps given m equal
     spacers, as a function of the four sufficient statistics.  Every
@@ -252,7 +250,7 @@ def triple_conditional_loglik(m, d1, d2, d3, d4, rho, T, T_prime):
     :func:`triple_conditional_score`, so they keep full relative
     precision as rho T -> 0."""
     rho = np.asarray(rho, dtype=float)
-    _check_triple_stats(m, (d1, d2, d3, d4), bool(np.all(rho > 0)), T, T_prime)
+    _check_stats(m, (d1, d2, d3, d4), rho, T, T_prime)
     log_pT = np.maximum(rho * -T, -MAX_RHO_T)
     log_pTp = np.maximum(rho * -T_prime, -MAX_RHO_T)
     a, ap = -np.expm1(log_pT), -np.expm1(log_pTp)  # 1 - pT, 1 - pTp
@@ -277,7 +275,7 @@ def triple_conditional_score(m, d1, d2, d3, d4, rho, T, T_prime):
     terms.  Every argument broadcasts over numpy arrays; scalar arguments
     give a pair of floats."""
     rho = np.asarray(rho, dtype=float)
-    _check_triple_stats(m, (d1, d2, d3, d4), bool(np.all(rho > 0)), T, T_prime)
+    _check_stats(m, (d1, d2, d3, d4), rho, T, T_prime)
     score, curvature = triple_score_unchecked(m, d1, d2, d3, d4, rho, T, T_prime)
     if np.ndim(score) == 0:
         return float(score), float(curvature)

@@ -13,7 +13,7 @@ from spacerloss import cli
 from spacerloss.cli import ExperimentConfig, main
 from spacerloss.equal_spacers import interior_totals, pair_stats, triple_stats
 from spacerloss.estimators import (
-    estimate_rho_pair, estimate_rho_triple, estimate_theta_moment, triple_mle
+    estimate_rho_pair, estimate_rho_triple, estimate_theta_moment, pair_mle, triple_mle
 )
 from spacerloss.process import ModelParams, mix_seed, simulate_tree, splitmix64
 from spacerloss.tree import parse_newick, sample_coalescent, to_newick
@@ -376,6 +376,32 @@ def test_estimate_rejects_malformed_stats_row(tmp_path, capsys, bad_row):
     assert not out.exists()
 
 
+# 1e-317 overflows the estimates to inf; inf makes them 0, unflagged
+@pytest.mark.parametrize("T", ["1e-317", "inf"])
+def test_pair_estimate_rejects_a_time_out_of_range(tmp_path, capsys, T):
+    stats = tmp_path / "stats.csv"
+    write(stats, "replicate,M,D\n1,5,0\n2,4,3\n3,1,\n")
+    out = tmp_path / "e.csv"
+    assert run_cli("estimate", "--stats", str(stats), "--T", T, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: T is out of range for the pair estimate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, row", [
+    ("replicate,M,D", "1,5,9223372036854775808"),
+    ("replicate,M,D1,D2,D3,D4", "1,5,1,9223372036854775808,0,1"),
+])
+def test_estimate_rejects_a_count_beyond_int64(tmp_path, capsys, header, row):
+    stats = tmp_path / "stats.csv"
+    write(stats, f"{header}\n{row}\n")
+    out = tmp_path / "e.csv"
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--T", "1", "--Tprime", "0.5", "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err == f"error: {stats} holds a count beyond the int64 range\n"
+    assert not out.exists()
+
+
 def test_failed_simulate_leaves_no_files(tmp_path, monkeypatch):
     # theta / rho overflows: rejected before any draw, with no warning
     out = tmp_path / "a.csv"
@@ -577,6 +603,13 @@ def test_experiment_config_validation():
         ExperimentConfig(n=2, rho_grid=(-1.0,), replicates=10, seed=0)
     with pytest.raises(ValueError, match="distinct"):
         ExperimentConfig(n=2, rho_grid=(0.5, 1.0, 0.5), replicates=10, seed=0)
+    # NaN and inf pass a test of r <= 0, and two NaNs count as distinct
+    for grid in [(math.inf,), (math.nan,), (math.nan, math.nan), (1.0, -math.inf)]:
+        with pytest.raises(ValueError, match="rho grid values must be positive and finite"):
+            ExperimentConfig(n=2, rho_grid=grid, replicates=10, seed=0)
+    for factor in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="theta factor must be nonnegative and finite"):
+            ExperimentConfig(n=2, rho_grid=(1.0,), replicates=10, seed=0, theta_factor=factor)
 
 
 def _run_fig1(tmp_path, name, *argv):
@@ -632,23 +665,26 @@ def test_fig1_block_estimates_each_rows_token_statistics(monkeypatch, n):
     sim, epochs = cli._coalescent_block(n, rho, 30.0, np.random.default_rng(5))
     T = epochs.sum(axis=1)
     calls = []
+    mle = {2: pair_mle, 3: triple_mle}[n]
 
     def recording(*args):
         calls.append(args)
-        return triple_mle(*args)
+        return mle(*args)
 
-    monkeypatch.setattr(cli, "triple_mle", recording)
+    monkeypatch.setattr(cli, mle.__name__, recording)
     rho_hat, boundary, suspect = cli._fig1_block(n, rho, 30.0, np.random.default_rng(5), count)
     assert rho_hat.shape == boundary.shape == suspect.shape == (count,)
-    expected = []  # (m, D1..D4, T, T') of each estimated row, in row order
+    expected = []  # (m, D or D1..D4, T[, T']) of each estimated row, in row order
     for b in range(count):
         arrays = sim.arrays(b)
+        res = None
         if n == 2:
             st = pair_stats(arrays)
-            res = None if st.d is None else estimate_rho_pair(st.m, st.d, T[b])
+            if st.d is not None:
+                expected.append((st.m, st.d, T[b]))
+                res = estimate_rho_pair(*expected[-1])
         else:
             st = triple_stats(arrays, ("1", "2"))
-            res = None
             if st.d1 is not None:
                 expected.append((st.m, st.d1, st.d2, st.d3, st.d4, T[b], epochs[b, 0]))
                 res = estimate_rho_triple(*expected[-1])
@@ -658,14 +694,12 @@ def test_fig1_block_estimates_each_rows_token_statistics(monkeypatch, n):
             assert math.isclose(rho_hat[b], res.rho_hat, rel_tol=1e-12, abs_tol=0.0)
             assert boundary[b] == res.boundary
             assert suspect[b] == res.diagnostics.get("multimodal_suspect", False)
-    if n == 2:
-        assert calls == []
-    else:
-        # one batched call for the whole block
-        [(m, d, T_arg, Tp_arg)] = calls
-        want = np.array(expected)
-        assert np.array_equal(m, want[:, 0]) and np.array_equal(d, want[:, 1:5])
-        assert np.array_equal(T_arg, want[:, 5]) and np.array_equal(Tp_arg, want[:, 6])
+    # one batched call for the whole block
+    [(m, d, *times)] = calls
+    want = np.array(expected)
+    k = want.shape[1] - 1 - len(times)  # statistics per row
+    assert np.array_equal(m, want[:, 0]) and np.array_equal(np.reshape(d, (-1, k)), want[:, 1:1 + k])
+    assert np.array_equal(np.column_stack(times), want[:, 1 + k:])
     assert not np.isnan(rho_hat).all()
 
 

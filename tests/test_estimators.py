@@ -13,10 +13,12 @@ from spacerloss.estimators import (
     estimate_rho_triple,
     estimate_theta_moment,
     negbin_p_mle,
+    pair_mle,
     triple_mle,
 )
 from spacerloss.likelihood import (
-    triple_conditional_loglik, triple_conditional_score, triple_score_unchecked
+    pair_conditional_loglik, triple_conditional_loglik, triple_conditional_score,
+    triple_score_unchecked,
 )
 
 
@@ -79,8 +81,6 @@ def test_pair_estimator_scales_with_time(m, d, T, c):
 
 
 def test_pair_estimate_is_argmax_of_conditional_loglik():
-    from spacerloss.likelihood import pair_conditional_loglik
-
     m, d, T = 12, 30, 0.8
     res = estimate_rho_pair(m, d, T)
     best = res.rho_hat
@@ -224,31 +224,55 @@ triple_rows = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(triple_rows, min_size=1, max_size=40), st.randoms(use_true_random=False))
-def test_triple_mle_rows_match_the_one_row_view(rows, rnd):
-    # whatever else is in its batch, a row's result is that of the row alone
-    rows = [(m, ds, T, share * T) for m, ds, T, share in rows]
+def _fit_in_parts(mle, rows, rnd):
+    """Shuffle ``rows`` and fit them with ``mle`` in one batch, then in two
+    parts cut at random; pairs each row of the shuffled list, taken twice,
+    with its fitted values."""
     rnd.shuffle(rows)
     cut = rnd.randrange(len(rows) + 1)
     got = []
     for part in (rows, rows[:cut], rows[cut:]):
         if part:
-            fit = triple_mle(
-                [r[0] for r in part], [r[1] for r in part],
-                [r[2] for r in part], [r[3] for r in part],
-            )
-            got.append(list(zip(*fit)))
-    got = got[0] + [row for part in got[1:] for row in part]
-    for i, (m, ds, T, Tp) in enumerate(rows + rows):
+            got.extend(zip(*mle(*(list(col) for col in zip(*part)))))
+    return zip(rows + rows, got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(triple_rows, min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_triple_mle_rows_match_the_one_row_view(rows, rnd):
+    # whatever else is in its batch, a row's result is that of the row alone
+    rows = [(m, ds, T, share * T) for m, ds, T, share in rows]
+    for (m, ds, T, Tp), fit in _fit_in_parts(triple_mle, rows, rnd):
         one = estimate_rho_triple(m, *ds, T, Tp)
-        rho_hat, loglik, boundary, suspect, grid_argmax = got[i]
+        rho_hat, loglik, boundary, suspect, grid_argmax = fit
         assert (rho_hat, loglik, boundary) == (one.rho_hat, one.loglik, one.boundary)
         assert suspect == one.diagnostics.get("multimodal_suspect", False)
         if any(ds):
             assert grid_argmax == one.diagnostics["grid_argmax"]
         else:
             assert (rho_hat, boundary, math.isnan(grid_argmax)) == (0.0, True, True)
+
+
+# rows for pair batches: random statistics (some with d = 0), and tiny times
+pair_rows = st.tuples(
+    st.integers(2, 500),
+    st.one_of(st.integers(0, 2000), st.just(0)),
+    st.one_of(st.floats(0.05, 5.0), st.just(0.6e-300)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(pair_rows, min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_pair_mle_rows_match_the_one_row_view(rows, rnd):
+    for (m, d, T), fit in _fit_in_parts(pair_mle, rows, rnd):
+        one = estimate_rho_pair(m, d, T)
+        rho_hat, loglik, boundary, suspect, grid_argmax = fit
+        assert (rho_hat, loglik, boundary) == (one.rho_hat, one.loglik, one.boundary)
+        assert (boundary, suspect, math.isnan(grid_argmax)) == (d == 0, False, True)
+        if d == 0:
+            assert (rho_hat, loglik) == (0.0, 0.0)
+        else:
+            assert loglik == pair_conditional_loglik(m, d, rho_hat, T)
 
 
 def test_triple_newton_stops_at_a_root_on_the_bracket_end(monkeypatch):

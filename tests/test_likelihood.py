@@ -149,6 +149,13 @@ def test_pair_conditional_loglik_rho_profile_matches_gap_law(m, d, rho1, rho2, T
     )
     got = pair_conditional_loglik(m, d, rho1, T) - pair_conditional_loglik(m, d, rho2, T)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+    # arrays broadcast element by element, also past the clip of rho T at
+    # 700 and below float resolution (p = 1); scalars give a float
+    rows = [(m, d, rho1), (m, 0, rho2), (2, d + 1, 800.0 / T), (m, d + 1, 1e-300), (m, 0, 1e-300)]
+    one_by_one = [pair_conditional_loglik(*row, T) for row in rows]
+    assert all(type(x) is float for x in one_by_one)
+    got = pair_conditional_loglik(*(np.array(col) for col in zip(*rows)), T)
+    assert got.tolist() == one_by_one
 
 
 @settings(max_examples=40, deadline=None)
