@@ -4,11 +4,15 @@ Monte-Carlo validation and the coalescent recovery experiment.
 File formats
 ------------
 arrays CSV   header ``replicate,leaf,position,spacer``; positions are
-             1-based from the leader end, spacer tokens decimal integers.
+             1-based from the leader end.  Replicate numbers, positions
+             and spacer tokens are ASCII decimal integers in the int64
+             range [-2**63, 2**63 - 1]; a row of other than four fields
+             is rejected.
 trees file   one Newick string per line; line i belongs to replicate i.
              A single line means all replicates share that tree.
 stats CSV    n=2: ``replicate,M,D``; n=3: ``replicate,M,D1,D2,D3,D4``.
-             Statistics are empty fields when M < 2.
+             Statistics are empty fields when M < 2; a row of another
+             field count than the header is rejected.
 results CSV  ``rho,replicate,rho_hat,ratio,skipped``.
 
 Exit codes: 0 success, 2 usage/input error, 3 validation failure.
@@ -63,6 +67,12 @@ class ExperimentConfig:
             raise ValueError("rho grid values must be positive and finite")
         if not 0 <= self.theta_factor < math.inf:
             raise ValueError("theta factor must be nonnegative and finite")
+        for r in self.rho_grid:
+            if not self.theta_factor * r < math.inf:
+                raise ValueError(
+                    f"theta = theta factor {self.theta_factor:g} x rho grid value {r:g} "
+                    "is not finite"
+                )
         if len(set(self.rho_grid)) != len(self.rho_grid):
             raise ValueError("rho grid values must be distinct")
 
@@ -75,10 +85,13 @@ class CliError(Exception):
     """Input error; reported with exit code 2."""
 
 
-def _bad_row(path: str, reader: csv.DictReader, row: dict) -> CliError:
-    """The error for the row just read when a field is missing or not an integer."""
-    got = ", ".join(f"{k}={row[k]!r}" for k in reader.fieldnames)
-    return CliError(f"{path}, line {reader.line_num}: expected integers, got {got}")
+def _bad_row(path: str, line: int, header: list[str], row: list[str]) -> CliError:
+    """The error for a row with too few or too many fields or a field that
+    is not an integer; ``line`` is the file line that ends the row."""
+    names = header + ["extra"] * (len(row) - len(header))
+    fields = row + [None] * (len(header) - len(row))
+    got = ", ".join(f"{k}={v!r}" for k, v in zip(names, fields))
+    return CliError(f"{path}, line {line}: expected integers, got {got}")
 
 
 # -- simulate ----------------------------------------------------------
@@ -131,28 +144,93 @@ def cmd_simulate(args) -> int:
 # -- stats -------------------------------------------------------------
 
 
-def _read_arrays(path: str) -> dict[int, dict[str, tuple[int, ...]]]:
-    replicates: dict[int, dict[str, list[int]]] = {}
+_ARRAYS_HEADER = ["replicate", "leaf", "position", "spacer"]
+_ARRAYS_DTYPE = np.dtype(
+    [("replicate", np.int64), ("leaf", object), ("position", np.int64), ("spacer", np.int64)]
+)
+
+
+def _is_int64(text: str) -> bool:
+    """Whether ``text`` is an int64 as numpy reads one: ASCII digits with
+    an optional sign and surrounding space (Python's ``int`` also takes
+    ``1_0`` and digits of other scripts)."""
+    t = text.strip()
+    digits = t[1:] if t[:1] in ("+", "-") else t
+    return digits.isascii() and digits.isdigit() and -(2**63) <= int(t) < 2**63
+
+
+def _bad_arrays_row(path: str, exc: ValueError) -> CliError:
+    """The error for the first row of an arrays file that numpy could not
+    parse: the first that is not four fields with int64s in the 1st, 3rd
+    and 4th, or numpy's own message ``exc`` where every row is."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["replicate", "leaf", "position", "spacer"]:
-            raise CliError(f"unexpected arrays header in {path}: {reader.fieldnames}")
+        reader = csv.reader(fh)
+        next(reader)  # the header
         for row in reader:
-            try:
-                rep, pos, spacer = int(row["replicate"]), int(row["position"]), int(row["spacer"])
-            except (TypeError, ValueError):
-                raise _bad_row(path, reader, row) from None
-            leaf = row["leaf"]
-            arr = replicates.setdefault(rep, {}).setdefault(leaf, [])
-            if pos != len(arr) + 1:
-                raise CliError(
-                    f"non-contiguous positions for replicate {rep}, leaf {leaf!r}"
+            if row and not (len(row) == 4 and all(_is_int64(row[i]) for i in (0, 2, 3))):
+                return _bad_row(path, reader.line_num, _ARRAYS_HEADER, row)
+    return CliError(f"{path}: {exc}")
+
+
+def _group_order(rep: np.ndarray, leaf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in a stable order by (replicate, leaf), and the index in
+    that order at which each (replicate, leaf) group starts."""
+    # a run is a stretch of rows of one group; coding the label at each
+    # run's head gives every row of a leaf that leaf's code
+    head = np.ones(len(rep), dtype=bool)
+    head[1:] = (rep[1:] != rep[:-1]) | (leaf[1:] != leaf[:-1])
+    codes: dict[str, int] = {}
+    head_codes = [codes.setdefault(x, len(codes)) for x in leaf[head].tolist()]
+    run_lengths = np.diff(np.flatnonzero(head), append=len(rep))
+    code = np.repeat(np.array(head_codes, dtype=np.int64), run_lengths)
+    order = np.lexsort((code, rep))
+    rep, code = rep[order], code[order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (rep[1:] != rep[:-1]) | (code[1:] != code[:-1])
+    return order, np.flatnonzero(start)
+
+
+def _read_arrays(path: str) -> dict[int, dict[str, np.ndarray]]:
+    """{replicate: {leaf: spacer tokens in position order}} of an arrays
+    CSV, parsed once into columns; each array is an int64 view into one
+    column of all tokens.  The rows of one (replicate, leaf) may be
+    interleaved with others but must hold positions 1, 2, ... in file
+    order."""
+    import warnings
+
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header != _ARRAYS_HEADER:
+            raise CliError(f"unexpected arrays header in {path}: {header}")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file reads as no rows; the caller reports it
+                warnings.filterwarnings("ignore", "loadtxt: ", UserWarning)
+                rows = np.loadtxt(
+                    fh, dtype=_ARRAYS_DTYPE, delimiter=",", comments=None, quotechar='"',
+                    ndmin=1,
                 )
-            arr.append(spacer)
-    return {
-        rep: {leaf: tuple(a) for leaf, a in leaves.items()}
-        for rep, leaves in replicates.items()
-    }
+        except ValueError as exc:
+            raise _bad_arrays_row(path, exc) from None
+    order, starts = _group_order(rows["replicate"], rows["leaf"])
+    # the order is stable, so the k-th row of a group in it is its k-th in the file
+    rank = np.arange(len(order)) - np.repeat(starts, np.diff(starts, append=len(order)))
+    wrong = order[rows["position"][order] != rank + 1]
+    if wrong.size:  # the first in file order is where a row-by-row reading stops
+        i = wrong.min()
+        raise CliError(
+            f"non-contiguous positions for replicate {rows['replicate'][i]}, "
+            f"leaf {rows['leaf'][i]!r}"
+        )
+    heads = rows[order[starts]]
+    tokens = rows["spacer"][order]
+    bounds = starts.tolist() + [len(tokens)]
+    replicates: dict[int, dict[str, np.ndarray]] = {}
+    for rep, leaf, start, end in zip(
+        heads["replicate"].tolist(), heads["leaf"].tolist(), bounds, bounds[1:]
+    ):
+        replicates.setdefault(rep, {})[leaf] = tokens[start:end]
+    return replicates
 
 
 def _read_trees(path: str, n_replicates: int) -> list[UltrametricTree]:
@@ -188,7 +266,8 @@ def cmd_stats(args) -> int:
         raise CliError("three-leaf stats need --trees for the cherry")
     rows = []  # built before the output is opened: an input error leaves no file
     for rep in reps:
-        arrays = replicates[rep]
+        # the statistics hash every token, which is fastest on Python ints
+        arrays = {leaf: tuple(tokens.tolist()) for leaf, tokens in replicates[rep].items()}
         if trees is not None:
             t = _tree_of(trees, rep)
             if set(t.leaves) != set(arrays):
@@ -232,20 +311,24 @@ def _times_from_tree(t: UltrametricTree) -> tuple[float, float | None]:
 
 def cmd_estimate(args) -> int:
     with open(args.stats, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         is_pair = header == ["replicate", "M", "D"]
         if not (is_pair or header == ["replicate", "M", "D1", "D2", "D3", "D4"]):
             raise CliError(f"unrecognized stats header {header}")
         rows = []  # (replicate, M, statistics or None when M < 2)
         for row in reader:
+            if not row:
+                continue
             try:
-                rep, m = int(row["replicate"]), int(row["M"])
+                if len(row) != len(header):
+                    raise ValueError
+                rep, m = int(row[0]), int(row[1])
                 # statistics are empty exactly when M < 2
-                empty = m < 2 and all(row[k] == "" for k in header[2:])
-                ds = None if empty else [int(row[k]) for k in header[2:]]
-            except (TypeError, ValueError):
-                raise _bad_row(args.stats, reader, row) from None
+                empty = m < 2 and all(x == "" for x in row[2:])
+                ds = None if empty else [int(x) for x in row[2:]]
+            except ValueError:
+                raise _bad_row(args.stats, reader.line_num, header, row) from None
             rows.append((rep, m, ds))
     n_leaves = 2 if is_pair else 3
     reps = [rep for rep, _, _ in rows]

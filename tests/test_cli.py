@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference_arrays import read_arrays as reference_read_arrays
 
 import spacerloss
 from spacerloss import cli
@@ -192,30 +193,31 @@ def pair_runs(draw):
     return draw(st.floats(0.0, min(1e3, 300 * rho))), rho
 
 
+@pytest.mark.parametrize("n", [2, 3])
 @settings(max_examples=40, deadline=None)
 @given(pair_runs(), st.integers(1, 4), st.integers(0, 2**32))
 @example((0.0, 1.0), 3, 0)  # every array is empty
 @example((1.0, 1.0), 50, 3)  # some replicates have one empty leaf
 @example((1e3, 1e3), 4, 1)  # rho T passes MAX_RHO_T
 @example((100.0, 1.0), 4, 2)  # every replicate estimable
-def test_simulate_stats_estimate_roundtrip_coalescent_pair(
-    tmp_path_factory, run, replicates, seed
+def test_simulate_stats_estimate_roundtrip_coalescent(
+    tmp_path_factory, n, run, replicates, seed
 ):
     theta, rho = run
     tmp = tmp_path_factory.mktemp("roundtrip")
     arrays, stats, est = (tmp / f for f in ("arrays.csv", "stats.csv", "est.csv"))
     trees = str(arrays) + ".trees"
     assert run_cli(
-        "simulate", "--tree", "coalescent:2", "--theta", repr(theta), "--rho", repr(rho),
+        "simulate", "--tree", f"coalescent:{n}", "--theta", repr(theta), "--rho", repr(rho),
         "--replicates", str(replicates), "--seed", str(seed), "--out", str(arrays),
     ) == 0
     # each replicate rebuilt in memory as the cli docstring seeds it; the
     # trees file keeps 12 significant digits of each branch length
     reps = {}
     for rep in range(1, replicates + 1):
-        t = sample_coalescent(2, mix_seed(seed, 1, rep))
+        t = sample_coalescent(n, mix_seed(seed, 1, rep))
         sim = simulate_tree(t, ModelParams(theta=theta, rho=rho), mix_seed(seed, 0, rep))
-        reps[rep] = (sim.arrays, parse_newick(to_newick(t)).height)
+        reps[rep] = (sim.arrays, parse_newick(to_newick(t)))
     # the arrays file cannot hold an empty array: a replicate whose leaves
     # are all empty is absent, and one empty leaf fails stats
     present = [rep for rep, (a, _) in reps.items() if any(a.values())]
@@ -230,13 +232,21 @@ def test_simulate_stats_estimate_roundtrip_coalescent_pair(
     ) == 0
     want_stats, want_est = [], []
     for rep in present:
-        a, T = reps[rep]
-        ps = pair_stats(a)
-        want_stats.append([str(rep), str(ps.m), "" if ps.d is None else str(ps.d)])
-        if ps.d is None:
+        a, t = reps[rep]
+        if n == 2:
+            ps = pair_stats(a)
+            ds = (ps.d,)
+        else:
+            ps = triple_stats(a, t.cherry())
+            ds = (ps.d1, ps.d2, ps.d3, ps.d4)
+        want_stats.append([str(rep), str(ps.m)] + ["" if d is None else str(d) for d in ds])
+        if ds[0] is None:
             want_est.append([str(rep), "", "", "", "", "M<2"])
             continue
-        res = estimate_rho_pair(ps.m, ps.d, T)
+        if n == 2:
+            res = estimate_rho_pair(ps.m, ps.d, t.height)
+        else:
+            res = estimate_rho_triple(ps.m, *ds, t.height, t.length[t.leaf_ids[t.cherry()[0]]])
         theta_hat = estimate_theta_moment(res.rho_hat, a) if res.rho_hat > 0 else None
         want_est.append([
             str(rep), f"{res.rho_hat:.12g}", "" if theta_hat is None else f"{theta_hat:.12g}",
@@ -352,7 +362,9 @@ def test_estimate_rejects_moments_method(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("bad_row", ["1,1", "1,1,x,5", "1,1,1,"])
+@pytest.mark.parametrize(
+    "bad_row", ["1,1", "1,1,x,5", "1,1,1,", "1,A,1,5,99", "1,B,1,99999999999999999999"]
+)
 def test_stats_rejects_malformed_arrays_row(tmp_path, capsys, bad_row):
     arrays = tmp_path / "arrays.csv"
     write(arrays, f"replicate,leaf,position,spacer\n1,1,1,5\n{bad_row}\n")
@@ -360,13 +372,86 @@ def test_stats_rejects_malformed_arrays_row(tmp_path, capsys, bad_row):
     assert f"{arrays}, line 3: expected integers" in capsys.readouterr().err
 
 
-# statistics are empty exactly when M < 2: not when M >= 2, never only some
+def _read_arrays_as_tuples(path):
+    return {
+        rep: {leaf: tuple(a.tolist()) for leaf, a in arrays.items()}
+        for rep, arrays in cli._read_arrays(path).items()
+    }
+
+
+def test_arrays_tokens_are_int64(tmp_path, capsys):
+    arrays = tmp_path / "arrays.csv"
+    write(arrays, f"replicate,leaf,position,spacer\n1,A,1,{-2**63}\n1,A,2,{2**63 - 1}\n")
+    assert _read_arrays_as_tuples(str(arrays)) == {1: {"A": (-2**63, 2**63 - 1)}}
+    for token in (2**63, -2**63 - 1):
+        write(arrays, f"replicate,leaf,position,spacer\n1,A,1,5\n\n1,A,2,{token}\n")
+        assert run_cli("stats", "--arrays", str(arrays), "--out", str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {arrays}, line 4: expected integers, got replicate='1', leaf='A', "
+            f"position='2', spacer='{token}'\n"
+        )
+
+
+LABELS = ("1", "2", "a,b", " lead", 'q"t')  # a quoted comma, a leading space, a quote
+
+
+@st.composite
+def arrays_files(draw):
+    """(rows, blank-line flags): the rows of a valid arrays file whose
+    (replicate, leaf) groups interleave, each in position order."""
+    groups = draw(st.dictionaries(
+        st.tuples(st.integers(1, 4), st.sampled_from(LABELS)),
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=5, unique=True),
+        min_size=1, max_size=8,
+    ))
+    # the order in which groups take their next row; each keeps its own order
+    turns = draw(st.permutations([key for key, tokens in groups.items() for _ in tokens]))
+    rows, taken = [], dict.fromkeys(groups, 0)
+    for rep, leaf in turns:
+        taken[rep, leaf] += 1
+        rows.append([rep, leaf, taken[rep, leaf], groups[rep, leaf][taken[rep, leaf] - 1]])
+    return rows, draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+
+
+def _write_arrays(path, rows, blanks, lineterminator):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(["replicate", "leaf", "position", "spacer"])
+        for row, blank in zip(rows, blanks):
+            if blank:
+                fh.write(lineterminator)
+            writer.writerow(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays_files(), st.sampled_from(["\n", "\r\n"]), st.data())
+def test_columnar_reader_matches_the_row_by_row_reader(
+    tmp_path_factory, file, lineterminator, data
+):
+    rows, blanks = file
+    path = str(tmp_path_factory.mktemp("arrays") / "arrays.csv")
+    _write_arrays(path, rows, blanks, lineterminator)
+    assert _read_arrays_as_tuples(path) == reference_read_arrays(path)
+    # wrong positions: both stop at the same replicate and leaf
+    wrong = st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True)
+    for i in data.draw(wrong):
+        rows[i][2] = data.draw(st.integers(-3, 8).filter(lambda p: p != rows[i][2]))
+    _write_arrays(path, rows, blanks, lineterminator)
+    with pytest.raises(cli.CliError, match="non-contiguous positions") as want:
+        reference_read_arrays(path)
+    with pytest.raises(cli.CliError) as got:
+        cli._read_arrays(path)
+    assert str(got.value) == str(want.value)
+
+
+# statistics are empty exactly when M < 2: not when M >= 2, never only some;
+# a row of four fields is read under the pair header, so it has one too many
 @pytest.mark.parametrize(
-    "bad_row", ["1,5", "1,x,3", "1,5,abc", "1,5,", "1,5,,1,2,3", "1,1,,1,2,3"]
+    "bad_row", ["1,5", "1,x,3", "1,5,abc", "1,5,", "1,5,,1,2,3", "1,1,,1,2,3", "1,5,3,77"]
 )
 def test_estimate_rejects_malformed_stats_row(tmp_path, capsys, bad_row):
     stats = tmp_path / "stats.csv"
-    header = "replicate,M,D" if bad_row.count(",") < 3 else "replicate,M,D1,D2,D3,D4"
+    header = "replicate,M,D" if bad_row.count(",") < 4 else "replicate,M,D1,D2,D3,D4"
     write(stats, f"{header}\n{bad_row}\n")
     out = tmp_path / "e.csv"
     assert run_cli(
@@ -610,6 +695,11 @@ def test_experiment_config_validation():
     for factor in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="theta factor must be nonnegative and finite"):
             ExperimentConfig(n=2, rho_grid=(1.0,), replicates=10, seed=0, theta_factor=factor)
+    # each is finite, their product theta is not
+    with pytest.raises(
+        ValueError, match=r"theta = theta factor 100 x rho grid value 1e\+307 is not finite"
+    ):
+        ExperimentConfig(n=2, rho_grid=(1.0, 1e307), replicates=10, seed=0)
 
 
 def _run_fig1(tmp_path, name, *argv):
