@@ -159,7 +159,7 @@ def _is_int64(text: str) -> bool:
     return digits.isascii() and digits.isdigit() and -(2**63) <= int(t) < 2**63
 
 
-def _bad_arrays_row(path: str, exc: ValueError) -> CliError:
+def _bad_arrays_row(path: str, exc: Exception) -> CliError:
     """The error for the first row of an arrays file that numpy could not
     parse: the first that is not four fields with int64s in the 1st, 3rd
     and 4th, or numpy's own message ``exc`` where every row is."""
@@ -206,11 +206,15 @@ def _read_arrays(path: str) -> dict[int, dict[str, np.ndarray]]:
             with warnings.catch_warnings():
                 # a header-only file reads as no rows; the caller reports it
                 warnings.filterwarnings("ignore", "loadtxt: ", UserWarning)
+                # numpy 1.23-1.26 read an integer field that is not an int64
+                # ("2.5", "1e3", 2**64) as a float cast to int64, with only a
+                # DeprecationWarning: make that warning the rejection it is
+                warnings.filterwarnings("error", category=DeprecationWarning)
                 rows = np.loadtxt(
                     fh, dtype=_ARRAYS_DTYPE, delimiter=",", comments=None, quotechar='"',
                     ndmin=1,
                 )
-        except ValueError as exc:
+        except (ValueError, DeprecationWarning) as exc:
             raise _bad_arrays_row(path, exc) from None
     order, starts = _group_order(rows["replicate"], rows["leaf"])
     # the order is stable, so the k-th row of a group in it is its k-th in the file
