@@ -11,8 +11,9 @@ arrays CSV   header ``replicate,leaf,position,spacer``; positions are
 trees file   one Newick string per line; line i belongs to replicate i.
              A single line means all replicates share that tree.
 stats CSV    n=2: ``replicate,M,D``; n=3: ``replicate,M,D1,D2,D3,D4``.
-             Statistics are empty fields when M < 2; a row of another
-             field count than the header is rejected.
+             Fields are int64s under the arrays CSV's rule.  Statistics
+             are empty fields when M < 2; a row of another field count
+             than the header is rejected.
 results CSV  ``rho,replicate,rho_hat,ratio,skipped``.
 
 Exit codes: 0 success, 2 usage/input error, 3 validation failure.
@@ -41,7 +42,9 @@ import numpy as np
 
 from . import equal_spacers, tree as treemod
 from .estimators import estimate_theta_moment, pair_mle, triple_mle
-from .process import BLOCK, ModelParams, mix_seed, seeded_blocks, simulate_block, simulate_tree
+from .process import (
+    BLOCK, MAX_NODES, ModelParams, mix_seed, seeded_blocks, simulate_block, simulate_tree,
+)
 from .tree import UltrametricTree, parse_newick, sample_coalescent, to_newick
 
 __all__ = ["ExperimentConfig", "main", "run_fig_experiment"]
@@ -106,6 +109,8 @@ def _load_tree_source(source: str):
             raise CliError(f"invalid tree source {source!r}") from None
         if n < 2:
             raise CliError("coalescent sample size must be >= 2")
+        if 2 * n - 1 > MAX_NODES:  # before sample_coalescent allocates its nodes
+            raise CliError(f"coalescent sample size must be <= {(MAX_NODES + 1) // 2}")
         return None, n
     if not os.path.exists(source):
         raise CliError(f"tree file not found: {source}")
@@ -157,6 +162,13 @@ def _is_int64(text: str) -> bool:
     t = text.strip()
     digits = t[1:] if t[:1] in ("+", "-") else t
     return digits.isascii() and digits.isdigit() and -(2**63) <= int(t) < 2**63
+
+
+def _int64(text: str) -> int:
+    """``text`` as an int64 under the rule of :func:`_is_int64`; ValueError otherwise."""
+    if not _is_int64(text):
+        raise ValueError(f"not an int64: {text!r}")
+    return int(text)
 
 
 def _bad_arrays_row(path: str, exc: Exception) -> CliError:
@@ -237,23 +249,23 @@ def _read_arrays(path: str) -> dict[int, dict[str, np.ndarray]]:
     return replicates
 
 
-def _read_trees(path: str, n_replicates: int) -> list[UltrametricTree]:
+def _read_trees(path: str, n_replicates: int):
+    """The tree lookup of replicates 1..n_replicates: line r of ``path``
+    holds replicate r's tree, a single line every replicate's.  Each
+    distinct line is parsed once, however many replicates share it."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) == 1:
-        lines = lines * n_replicates
-    if len(lines) < n_replicates:
+    if len(lines) != 1 and len(lines) < n_replicates:
         raise CliError(f"{path} has {len(lines)} trees for {n_replicates} replicates")
     # a tree is immutable: replicates with the same line share one parse
     trees = {ln: parse_newick(ln) for ln in dict.fromkeys(lines)}
-    return [trees[ln] for ln in lines]
 
+    def tree_of(rep: int) -> UltrametricTree:
+        if rep < 1:
+            raise CliError(f"replicate numbers start at 1, found {rep}")
+        return trees[lines[0 if len(lines) == 1 else rep - 1]]
 
-def _tree_of(trees: list[UltrametricTree], rep: int) -> UltrametricTree:
-    """The tree of replicate ``rep``; replicate numbers start at 1."""
-    if rep < 1:
-        raise CliError(f"replicate numbers start at 1, found {rep}")
-    return trees[rep - 1]
+    return tree_of
 
 
 def cmd_stats(args) -> int:
@@ -261,19 +273,19 @@ def cmd_stats(args) -> int:
     if not replicates:
         raise CliError(f"{args.arrays} has no replicates")
     reps = sorted(replicates)
-    trees = _read_trees(args.trees, max(reps)) if args.trees else None
+    tree_of = _read_trees(args.trees, max(reps)) if args.trees else None
     sizes = {len(v) for v in replicates.values()}
     if sizes - {2, 3} or len(sizes) != 1:
         raise CliError(f"stats requires 2 or 3 leaves per replicate, found {sizes}")
     n = sizes.pop()
-    if n == 3 and trees is None:
+    if n == 3 and tree_of is None:
         raise CliError("three-leaf stats need --trees for the cherry")
     rows = []  # built before the output is opened: an input error leaves no file
     for rep in reps:
         # the statistics hash every token, which is fastest on Python ints
         arrays = {leaf: tuple(tokens.tolist()) for leaf, tokens in replicates[rep].items()}
-        if trees is not None:
-            t = _tree_of(trees, rep)
+        if tree_of is not None:
+            t = tree_of(rep)
             if set(t.leaves) != set(arrays):
                 raise CliError(f"leaf mismatch between files at replicate {rep}")
         if n == 2:
@@ -327,21 +339,21 @@ def cmd_estimate(args) -> int:
             try:
                 if len(row) != len(header):
                     raise ValueError
-                rep, m = int(row[0]), int(row[1])
+                rep, m = _int64(row[0]), _int64(row[1])
                 # statistics are empty exactly when M < 2
                 empty = m < 2 and all(x == "" for x in row[2:])
-                ds = None if empty else [int(x) for x in row[2:]]
+                ds = None if empty else [_int64(x) for x in row[2:]]
             except ValueError:
                 raise _bad_row(args.stats, reader.line_num, header, row) from None
             rows.append((rep, m, ds))
     n_leaves = 2 if is_pair else 3
     reps = [rep for rep, _, _ in rows]
-    trees = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
+    tree_of = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
     arrays = _read_arrays(args.arrays) if args.arrays else None
     times = []  # (T, T') per row
     for rep in reps:
-        if trees is not None:
-            t = _tree_of(trees, rep)
+        if tree_of is not None:
+            t = tree_of(rep)
             if len(t.leaves) != n_leaves:
                 raise CliError(
                     f"replicate {rep}: {'pair' if is_pair else 'triple'} statistics "
@@ -355,10 +367,8 @@ def cmd_estimate(args) -> int:
             times.append((args.T, args.Tprime))
     # rows with M < 2 are written as skipped; the others are estimated in one call
     usable = [i for i, (_, m, _) in enumerate(rows) if m >= 2]
-    try:  # columns M, then D or D1..D4
-        stats = np.array([[rows[i][1], *rows[i][2]] for i in usable], dtype=np.int64)
-    except OverflowError:
-        raise CliError(f"{args.stats} holds a count beyond the int64 range") from None
+    # columns M, then D or D1..D4
+    stats = np.array([[rows[i][1], *rows[i][2]] for i in usable], dtype=np.int64)
     stats = stats.reshape(-1, len(header) - 1)
     T = [times[i][0] for i in usable]
     if is_pair:

@@ -31,11 +31,14 @@ from .tree import UltrametricTree
 __all__ = [
     "ModelParams", "LeafArrays", "Block", "simulate_block", "simulate_line",
     "equilibrium_root", "simulate_tree", "splitmix64", "mix_seed", "BLOCK", "seeded_blocks",
+    "MAX_NODES",
 ]
 
 # token = (origin node << _TOKEN_SHIFT) | index; simulate_line's caller
 # supplies its own tokens
 _TOKEN_SHIFT = 40
+# node ids below this keep a token within int64
+MAX_NODES = 1 << (63 - _TOKEN_SHIFT)
 
 _MASK = (1 << 64) - 1
 
@@ -167,8 +170,11 @@ def simulate_block(
     topology of ``tree``, row b with branch lengths ``lengths[b]`` (B x
     nodes, indexed by node id; the root's column is ignored).
 
-    Edges are drawn in preorder.
+    Edges are drawn in preorder.  A tree of more than :data:`MAX_NODES`
+    nodes is rejected, since its tokens would not fit an int64.
     """
+    if tree.n_nodes > MAX_NODES:
+        raise ValueError(f"a tree of {tree.n_nodes} nodes has more than the {MAX_NODES} allowed")
     keep = np.exp(-params.rho * np.asarray(lengths, dtype=float))
     if keep.ndim != 2 or keep.shape[0] < 1 or keep.shape[1] != tree.n_nodes:
         raise ValueError("lengths must be a (rows x nodes) array with at least one row")

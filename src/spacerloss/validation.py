@@ -3,8 +3,10 @@
 :func:`sample_gaps` runs blocks of replicates under ``replicate-fig1``'s
 block rule and reads off their fate masks the first interior gap of each
 replicate and its spacers gained below the root.  :func:`run_validation`
-compares those samples with the pair or triple gap law (chi-square) and
-with the Poisson means of the new spacers (z-scores).
+compares those samples with the exact-subset gap law of the tree,
+:class:`~spacerloss.likelihood.GeneralGapLaw`, whose two- and three-leaf
+cases are the paper's pair and triple laws (chi-square), and with the
+Poisson means of the new spacers (z-scores).
 
 Only the first interior gap of each replicate is recorded: pooling a
 random number of gaps per replicate is length-biased, because replicates
@@ -115,20 +117,16 @@ def run_validation(rho, theta, T, T_prime, trials, seed=0):
         tree = parse_newick(f"((1:{T_prime!r},2:{T_prime!r}):{T - T_prime!r},3:{T!r});")
     sample = sample_gaps(tree, params, trials, seed)
     gaps = sample.first_gaps
-    cmax = max((max(k) for k in gaps), default=0) + 1
-    if T_prime is None:
-        probs = {
-            (a, b): likelihood.pair_gap_pmf(a, b, rho, T)
-            for a in range(cmax)
-            for b in range(cmax)
-        }
-        title = "pair gap pmf chi-square"
-    else:
-        probs = {k: likelihood.triple_gap_pmf(*k, rho, T, T_prime) for k in gaps}
-        # add high-probability tuples not observed so pooling is honest
-        for key in product(range(min(cmax, 4)), repeat=6):
-            probs.setdefault(key, likelihood.triple_gap_pmf(*key, rho, T, T_prime))
-        title = "triple gap pmf chi-square"
+    # the observed keys and the likely grid [0, w)^k of at most 4096 keys, so
+    # that pooling is honest: w is 64 for a pair, 4 for a triple
+    cmax, k = max((max(key) for key in gaps), default=0) + 1, len(sample.classes)
+    w = min(cmax, max(w for w in range(1, 4097) if w**k <= 4096))
+    keys = list(dict.fromkeys([*gaps, *product(range(w), repeat=k)]))
+    counts = np.zeros((len(keys), (1 << len(tree.leaves)) - 2), np.int64)
+    counts[:, [subset_mask(tree.leaves, K) - 1 for K in sample.classes]] = keys
+    law = likelihood.GeneralGapLaw(tree, rho)
+    probs = dict(zip(keys, np.exp(law.logpmf_array(counts)).tolist()))
+    title = f"{'pair' if T_prime is None else 'triple'} gap pmf chi-square"
     chi2, p = chisquare_from_counts(gaps, probs, sum(gaps.values()))
     report = [(title, chi2, p)]
     for K in sample.classes:

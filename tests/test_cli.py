@@ -464,7 +464,10 @@ def test_columnar_reader_matches_the_row_by_row_reader(
 # statistics are empty exactly when M < 2: not when M >= 2, never only some;
 # a row of four fields is read under the pair header, so it has one too many
 @pytest.mark.parametrize(
-    "bad_row", ["1,5", "1,x,3", "1,5,abc", "1,5,", "1,5,,1,2,3", "1,1,,1,2,3", "1,5,3,77"]
+    "bad_row",
+    ["1,5", "1,x,3", "1,5,abc", "1,5,", "1,5,,1,2,3", "1,1,,1,2,3", "1,5,3,77",
+     # integers to Python's int, not to the int64 rule of both CSVs
+     "1,1_0,3", "1,5,\u0663"],
 )
 def test_estimate_rejects_malformed_stats_row(tmp_path, capsys, bad_row):
     stats = tmp_path / "stats.csv"
@@ -500,7 +503,36 @@ def test_estimate_rejects_a_count_beyond_int64(tmp_path, capsys, header, row):
     assert run_cli(
         "estimate", "--stats", str(stats), "--T", "1", "--Tprime", "0.5", "--out", str(out),
     ) == 2
-    assert capsys.readouterr().err == f"error: {stats} holds a count beyond the int64 range\n"
+    got = ", ".join(f"{k}={v!r}" for k, v in zip(header.split(","), row.split(",")))
+    assert capsys.readouterr().err == f"error: {stats}, line 2: expected integers, got {got}\n"
+    assert not out.exists()
+
+
+def test_one_line_trees_file_serves_a_huge_replicate_number(tmp_path):
+    # the trees are looked up per replicate, not listed up to the largest
+    rep = 2**62
+    arrays, stats, tree = tmp_path / "a.csv", tmp_path / "s.csv", tmp_path / "t.nwk"
+    write(arrays, "replicate,leaf,position,spacer\n" + "".join(
+        f"{rep},{leaf},{pos},{token}\n"
+        for leaf, tokens in (("1", (5, 6, 7)), ("2", (5, 8, 7)))
+        for pos, token in enumerate(tokens, start=1)
+    ))
+    write(tree, CHERRY + "\n")
+    assert run_cli("stats", "--arrays", str(arrays), "--trees", str(tree), "--out", str(stats)) == 0
+    assert read_rows(stats) == [["replicate", "M", "D"], [str(rep), "2", "2"]]
+    out = tmp_path / "e.csv"
+    assert run_cli("estimate", "--stats", str(stats), "--trees", str(tree), "--out", str(out)) == 0
+    assert read_rows(out)[1][0] == str(rep)
+
+
+@pytest.mark.parametrize("n", ["4194305", "99999999999"])
+def test_simulate_rejects_a_coalescent_beyond_the_token_node_ids(tmp_path, capsys, n):
+    # 2n - 1 nodes must be at most 2^23; rejected before any node is allocated
+    out = tmp_path / "a.csv"
+    assert run_cli(
+        "simulate", "--tree", f"coalescent:{n}", "--theta", "1", "--rho", "1", "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err == "error: coalescent sample size must be <= 4194304\n"
     assert not out.exists()
 
 

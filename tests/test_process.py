@@ -1,11 +1,14 @@
 import math
 from collections import Counter
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spacerloss import process
+from spacerloss.likelihood import pair_gap_pmf, triple_gap_pmf
 from spacerloss.equal_spacers import (
     gap_decomposition,
     interior_totals,
@@ -15,6 +18,7 @@ from spacerloss.equal_spacers import (
     triple_stats,
 )
 from spacerloss.process import (
+    MAX_NODES,
     ModelParams,
     equilibrium_root,
     simulate_block,
@@ -22,7 +26,7 @@ from spacerloss.process import (
     simulate_tree,
 )
 from spacerloss.tree import parse_newick, sample_coalescent, subset_mask
-from spacerloss.validation import run_validation
+from spacerloss.validation import chisquare_from_counts, run_validation, sample_gaps
 
 PARAMS = ModelParams(theta=10.0, rho=0.5)
 
@@ -232,6 +236,38 @@ def test_block_rejects_misshapen_lengths():
         simulate_block(tree, np.ones((0, 3)), PARAMS, rng)
     with pytest.raises(ValueError, match="rows x nodes"):
         simulate_block(tree, np.ones((2, 2)), PARAMS, rng)
+
+
+def test_block_rejects_a_tree_beyond_the_token_node_ids():
+    # only the node count is read before the rejection: no tree is built
+    tree = SimpleNamespace(n_nodes=MAX_NODES + 1)
+    with pytest.raises(ValueError, match=f"more than the {MAX_NODES} allowed"):
+        simulate_block(tree, np.ones((1, 1)), PARAMS, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("T_prime, seed", [(None, 4), (0.4, 3)])
+def test_validation_chisquare_is_the_papers_pair_and_triple_law(T_prime, seed):
+    # the same sample and support as run_validation: the observed keys and
+    # the grid [0, w)^k, w = 64 for the pair's 2 classes and 4 for the
+    # triple's 6; the law is the paper's instead of GeneralGapLaw
+    rho, theta, T, trials = 0.8, 60.0, 1.2, 3000
+    if T_prime is None:
+        tree = parse_newick(f"(1:{T!r},2:{T!r});")
+    else:
+        tree = parse_newick(f"((1:{T_prime!r},2:{T_prime!r}):{T - T_prime!r},3:{T!r});")
+    gaps = sample_gaps(tree, ModelParams(theta=theta, rho=rho), trials, seed).first_gaps
+    k = len(next(iter(gaps)))
+    w = min(max(max(key) for key in gaps) + 1, 64 if k == 2 else 4)
+    keys = sorted(set(gaps) | set(product(range(w), repeat=k)))
+    counts = np.array(keys).T
+    if T_prime is None:
+        pmf = pair_gap_pmf(*counts, rho, T)
+    else:
+        pmf = triple_gap_pmf(*counts, rho, T, T_prime)
+    want, _ = chisquare_from_counts(gaps, dict(zip(keys, pmf.tolist())), sum(gaps.values()))
+    title, got, _ = run_validation(rho, theta, T, T_prime, trials, seed)[0]
+    assert title == f"{'pair' if T_prime is None else 'triple'} gap pmf chi-square"
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_validation_detects_a_doubled_loss_rate_on_one_edge(monkeypatch):
