@@ -20,13 +20,20 @@ Exit codes: 0 success, 2 usage/input error, 3 validation failure.
 ``validate`` reports what :func:`spacerloss.validation.run_validation`
 computes.
 
-Determinism: ``simulate`` seeds replicate r with a splitmix64 mix of
-(seed, 0, r) and its coalescent tree with (seed, 1, r), see
-:func:`spacerloss.process.mix_seed`.  ``replicate-fig1`` and ``validate``
-run blocks of 512 replicates in one process, block k seeded by (seed, i,
-k) for grid point i of ``replicate-fig1`` and by (seed, k) for
-``validate`` (:func:`spacerloss.process.seeded_blocks`); a replicate's
-row does not depend on the replicate count.
+Determinism: ``simulate``, ``replicate-fig1`` and ``validate`` share one
+block rule (:func:`spacerloss.process.seeded_blocks`): they run blocks of
+replicates in one process, block k drawing from a generator seeded by a
+splitmix64 mix of (seed, 0, k) for ``simulate``, (seed, i, k) for grid
+point i of ``replicate-fig1`` and (seed, k) for ``validate``.  Blocks of
+``replicate-fig1`` and ``validate`` simulate 512 rows and drop those past
+the replicate count, so a replicate's row does not depend on that count.
+Blocks of ``simulate`` hold max(1, 3 * 512 // nodes) rows, about the
+nodes of a pair block, and simulate only the rows kept, so only the rows
+of the last, partial block depend on the replicate count.  A
+``coalescent:N`` block draws all its trees with one
+:func:`spacerloss.tree.coalescent_block` call, then runs one
+:func:`spacerloss.process.simulate_block` per labelled ranked topology,
+in order of first appearance; a fixed tree is one topology.
 """
 
 from __future__ import annotations
@@ -42,10 +49,8 @@ import numpy as np
 
 from . import equal_spacers, tree as treemod
 from .estimators import estimate_theta_moment, pair_mle, triple_mle
-from .process import (
-    BLOCK, MAX_NODES, ModelParams, mix_seed, seeded_blocks, simulate_block, simulate_tree,
-)
-from .tree import UltrametricTree, parse_newick, sample_coalescent, to_newick
+from .process import BLOCK, MAX_NODES, ModelParams, seeded_blocks, simulate_block
+from .tree import UltrametricTree, coalescent_block, newick_lines, parse_newick
 
 __all__ = ["ExperimentConfig", "main", "run_fig_experiment"]
 
@@ -109,7 +114,7 @@ def _load_tree_source(source: str):
             raise CliError(f"invalid tree source {source!r}") from None
         if n < 2:
             raise CliError("coalescent sample size must be >= 2")
-        if 2 * n - 1 > MAX_NODES:  # before sample_coalescent allocates its nodes
+        if 2 * n - 1 > MAX_NODES:  # before coalescent_block allocates its nodes
             raise CliError(f"coalescent sample size must be <= {(MAX_NODES + 1) // 2}")
         return None, n
     if not os.path.exists(source):
@@ -118,26 +123,105 @@ def _load_tree_source(source: str):
         return parse_newick(fh.read()), None
 
 
+def _block_trees(fixed: UltrametricTree | None, coal_n: int | None, rows: int, rng):
+    """The trees of one block of ``rows`` rows, grouped by labelled ranked
+    topology in order of first appearance: (tree, row indices, (rows x
+    nodes) branch lengths) per topology.  A fixed tree is one topology;
+    ``coalescent:N`` rows come from one
+    :func:`~spacerloss.tree.coalescent_block` call."""
+    if fixed is not None:
+        return [(fixed, np.arange(rows), np.tile(fixed.length, (rows, 1)))]
+    parent, length = coalescent_block(coal_n, rows, rng)
+    _, first, inverse = np.unique(parent, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    labels = [str(i + 1) for i in range(coal_n)] + [""] * (coal_n - 1)
+    groups = []
+    for g in np.argsort(first).tolist():
+        idx = np.flatnonzero(inverse == g)
+        tree = UltrametricTree.build(parent[idx[0]].tolist(), length[idx[0]].tolist(), labels)
+        groups.append((tree, idx, length[idx]))
+    return groups
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as :mod:`csv` writes it in a row, quoted where it must be."""
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]  # the writer's \r\n
+
+
+def _spacer_columns(groups, params: ModelParams, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One :func:`simulate_block` call per group of :func:`_block_trees`,
+    in its order.  Returns the key, row * leaves + leaf index, and the
+    token of every spacer a row holds, ordered by row, then leaf in
+    ``tree.leaves`` order, then array position."""
+    leaves = groups[0][0].leaves  # every group has the same leaves
+    keys, tokens = [], []  # per group
+    for tree, idx, lengths in groups:
+        sim = simulate_block(tree, lengths, params, rng)
+        # the leaves' columns side by side: nonzero lists a row's spacers
+        # by leaf, then in array order
+        r, c = np.nonzero(np.concatenate([sim.alive[leaf] for leaf in leaves], axis=1))
+        leaf_of = np.repeat(np.arange(len(leaves)), [len(sim.tokens[leaf]) for leaf in leaves])
+        keys.append(idx[r] * len(leaves) + leaf_of[c])
+        tokens.append(np.concatenate([sim.tokens[leaf] for leaf in leaves])[c])
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")  # stable: each (row, leaf) run keeps its order
+    return key[order], np.concatenate(tokens)[order]
+
+
+_FORMAT_ROWS = 4096  # arrays rows formatted per join
+
+
+def _block_text(groups, first_rep: int, params: ModelParams, rng) -> tuple[str, str]:
+    """(arrays CSV rows, trees file lines) of one block of
+    :func:`_block_trees` whose row b is replicate ``first_rep + b``."""
+    lines = [""] * sum(len(idx) for _, idx, _ in groups)
+    for tree, idx, lengths in groups:
+        for row, line in zip(idx.tolist(), newick_lines(tree, lengths)):
+            lines[row] = line
+    key, token = _spacer_columns(groups, params, rng)
+    head = np.flatnonzero(np.diff(key, prepend=-1))  # where each (row, leaf) run starts
+    position = np.arange(1, len(key) + 1) - np.repeat(head, np.diff(head, append=len(key)))
+    leaves = groups[0][0].leaves
+    rep, leaf = key // len(leaves) + first_rep, key % len(leaves)
+    quoted = [_csv_field(label) for label in leaves]
+    # joined in chunks: the Python ints and row strings of a whole block
+    # would hold several times the memory of its text
+    chunks = []
+    for start in range(0, len(key), _FORMAT_ROWS):
+        part = slice(start, start + _FORMAT_ROWS)
+        chunks.append("".join(
+            f"{r},{quoted[j]},{p},{t}\r\n" for r, j, p, t in zip(
+                rep[part].tolist(), leaf[part].tolist(), position[part].tolist(),
+                token[part].tolist(),
+            )
+        ))
+    return "".join(chunks), "".join(line + "\n" for line in lines)
+
+
 def cmd_simulate(args) -> int:
+    if args.replicates < 1:
+        raise CliError("replicate count must be >= 1")
     paths = (args.out, args.trees_out or args.out + ".trees")
     if os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
         raise CliError(f"--out and --trees-out name the same file: {paths[0]}")
     fixed, coal_n = _load_tree_source(args.tree)
     params = ModelParams(theta=args.theta, rho=args.rho)
+    # a block holds about as many nodes as a pair block
+    rows = max(1, 3 * BLOCK // (fixed.n_nodes if fixed is not None else 2 * coal_n - 1))
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]  # renamed once complete
     try:
         with open(temps[0], "x", newline="") as fh, open(temps[1], "x") as th:
-            writer = csv.writer(fh)
-            writer.writerow(["replicate", "leaf", "position", "spacer"])
-            for rep in range(1, args.replicates + 1):
-                t = fixed if fixed is not None else sample_coalescent(
-                    coal_n, mix_seed(args.seed, 1, rep)
+            fh.write(",".join(_ARRAYS_HEADER) + "\r\n")
+            for k, (rng, kept) in enumerate(seeded_blocks(args.seed, (0,), args.replicates, rows)):
+                arrays, trees = _block_text(
+                    _block_trees(fixed, coal_n, kept, rng), k * rows + 1, params, rng
                 )
-                th.write(to_newick(t) + "\n")
-                result = simulate_tree(t, params, mix_seed(args.seed, 0, rep))
-                for leaf in t.leaves:
-                    for pos, token in enumerate(result.arrays[leaf], start=1):
-                        writer.writerow([rep, leaf, pos, token])
+                fh.write(arrays)
+                th.write(trees)
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     finally:
@@ -346,6 +430,8 @@ def cmd_estimate(args) -> int:
             except ValueError:
                 raise _bad_row(args.stats, reader.line_num, header, row) from None
             rows.append((rep, m, ds))
+    if is_pair and args.Tprime is not None:
+        raise CliError("--Tprime applies to triple statistics only")
     n_leaves = 2 if is_pair else 3
     reps = [rep for rep, _, _ in rows]
     tree_of = _read_trees(args.trees, max(reps, default=0)) if args.trees else None

@@ -63,10 +63,11 @@ def mix_seed(seed: int, *indices: int) -> int:
 BLOCK = 512  # rows per block of the jobs that run many replicates
 
 
-def seeded_blocks(seed: int, keys: tuple[int, ...], total: int):
-    """Yield (rng seeded by mix_seed(seed, *keys, k), rows kept) per block k of ``total`` rows."""
-    for k, start in enumerate(range(0, total, BLOCK)):
-        yield np.random.default_rng(mix_seed(seed, *keys, k)), min(BLOCK, total - start)
+def seeded_blocks(seed: int, keys: tuple[int, ...], total: int, rows: int = BLOCK):
+    """Yield (rng seeded by mix_seed(seed, *keys, k), rows kept) per block k
+    of ``rows`` rows out of ``total``."""
+    for k, start in enumerate(range(0, total, rows)):
+        yield np.random.default_rng(mix_seed(seed, *keys, k)), min(rows, total - start)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,9 @@ __all__ = [
     "NewickError",
     "parse_newick",
     "to_newick",
+    "newick_lines",
     "sample_coalescent",
+    "coalescent_block",
     "subset_mask",
     "mask_subset",
     "mrca",
@@ -279,21 +281,31 @@ def parse_newick(text: str) -> UltrametricTree:
     return UltrametricTree.build(parent, length, label)
 
 
-def _fmt_len(x: float) -> str:
-    return f"{x:.12g}"
+def _newick_template(tree: UltrametricTree) -> str:
+    """The walk of :func:`to_newick`: a format string whose field ``v``
+    writes the length above node v with 12 significant digits."""
+    # labels are literal text of the format string
+    text = [lab.replace("{", "{{").replace("}", "}}") for lab in tree.label]
+    for v in tree.postorder():
+        if not text[v]:  # internal nodes ('') are filled in here
+            a, b = tree.children[v]
+            text[v] = f"({text[a]}:{{{a}:.12g}},{text[b]}:{{{b}:.12g}})"
+            text[a] = text[b] = ""  # free subtree text once it is embedded
+    return text[tree.root] + ";"
 
 
 def to_newick(tree: UltrametricTree) -> str:
     """Canonical Newick serialization (children ordered by smallest leaf
     label, branch lengths with 12 significant digits)."""
+    return _newick_template(tree).format(*tree.length)
 
-    text = list(tree.label)  # internal nodes ('') are filled in below
-    for v in tree.postorder():
-        if not text[v]:
-            a, b = tree.children[v]
-            text[v] = f"({text[a]}:{_fmt_len(tree.length[a])},{text[b]}:{_fmt_len(tree.length[b])})"
-            text[a] = text[b] = ""  # free subtree text once it is embedded
-    return text[tree.root] + ";"
+
+def newick_lines(tree: UltrametricTree, lengths) -> list[str]:
+    """:func:`to_newick` of the topology of ``tree`` with row b's branch
+    lengths ``lengths[b]`` (rows x nodes, indexed by node id), one line per
+    row, from one walk."""
+    template = _newick_template(tree)
+    return [template.format(*row) for row in np.asarray(lengths, dtype=float).tolist()]
 
 
 # -- Kingman coalescent ------------------------------------------------
@@ -332,6 +344,41 @@ def sample_coalescent(n: int, seed=None) -> UltrametricTree:
         nxt += 1
     # depths were measured upward from the leaves; build() checks ultrametricity
     return UltrametricTree.build(parent, length, label)
+
+
+def coalescent_block(n: int, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``rows`` Kingman coalescent trees with ``n`` leaves at once.
+
+    Returns (parent, length), two (rows x 2n-1) arrays in the node ids of
+    :func:`sample_coalescent`: leaves 0..n-1 are labelled '1'..'n', merger
+    e makes node n + e, the root's parent is -1 and its length 0.  So a
+    row's parent array is its labelled ranked topology.  One call draws
+    every epoch, epoch e (k = n - e lines) lasting Exp(k(k-1)/2), and one
+    the merging pair of each epoch, a uniform pair of the k active lines.
+    """
+    if n < 2:
+        raise TreeError("coalescent sample size must be >= 2")
+    ks = np.arange(n, 1, -1)
+    epochs = rng.exponential(1.0, (rows, n - 1)) / (ks * (ks - 1) / 2.0)
+    # an ordered pair of distinct positions: i among k, j among the other k - 1
+    picks = rng.integers(0, np.stack((ks, ks - 1), axis=1), (rows, n - 1, 2))
+    depth = np.zeros((rows, 2 * n - 1))
+    depth[:, n:] = np.cumsum(epochs, axis=1)
+    parent = np.full((rows, 2 * n - 1), -1, dtype=np.int64)
+    active = np.tile(np.arange(n), (rows, 1))  # the lines of each row, in any order
+    r = np.arange(rows)
+    for e, k in enumerate(ks.tolist()):
+        i, j = picks[:, e, 0], picks[:, e, 1]
+        j = j + (j >= i)
+        parent[r, active[r, i]] = parent[r, active[r, j]] = n + e
+        # the merged node takes position i and the last line position j;
+        # dropping the last position then drops both merged lines
+        active[r, i] = n + e
+        active[r, j] = active[:, k - 1]
+        active = active[:, : k - 1]
+    length = np.zeros((rows, 2 * n - 1))
+    length[:, :-1] = np.take_along_axis(depth, parent[:, :-1], axis=1) - depth[:, :-1]
+    return parent, length
 
 
 # -- tree-geometric quantities ----------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import subprocess
@@ -17,8 +18,10 @@ from spacerloss.equal_spacers import interior_totals, pair_stats, triple_stats
 from spacerloss.estimators import (
     estimate_rho_pair, estimate_rho_triple, estimate_theta_moment, pair_mle, triple_mle
 )
-from spacerloss.process import ModelParams, mix_seed, simulate_tree, splitmix64
-from spacerloss.tree import parse_newick, sample_coalescent, to_newick
+from spacerloss.process import (
+    BLOCK, ModelParams, mix_seed, seeded_blocks, simulate_block, splitmix64,
+)
+from spacerloss.tree import UltrametricTree, coalescent_block, parse_newick, to_newick
 
 CHERRY = "(1:1.0,2:1.0);"
 TRIPLE = "((1:0.5,2:0.5):0.5,3:1.0);"
@@ -159,6 +162,18 @@ def test_estimate_reports_its_flags_on_stderr(
     )
 
 
+def test_pair_estimate_rejects_tprime(tmp_path, capsys):
+    header, rows, _ = PAIR_STATS
+    stats = tmp_path / "stats.csv"
+    write(stats, "\n".join([header] + rows) + "\n")
+    out = tmp_path / "est.csv"
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--T", "1", "--Tprime", "2", "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err == "error: --Tprime applies to triple statistics only\n"
+    assert not out.exists()
+
+
 def test_stats_triple_without_trees_fails(tmp_path, capsys):
     tree = tmp_path / "tree.nwk"
     write(tree, TRIPLE)
@@ -184,6 +199,130 @@ def test_stats_leaf_mismatch_writes_no_file(tmp_path, capsys):
     assert run_cli("stats", "--arrays", str(arrays), "--trees", str(trees), "--out", str(out)) == 2
     assert "leaf mismatch between files at replicate 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def block_rule_replicates(source, params, replicates, seed):
+    """(tree, leaf arrays) of each replicate of ``simulate``, rebuilt from
+    the block rule: block k of max(1, 3 * BLOCK // nodes) rows draws from
+    the generator seeded by (seed, 0, k); a coalescent:N block (``source``
+    is N) samples all its trees with one ``coalescent_block`` call, then
+    runs one ``simulate_block`` per labelled ranked topology in order of
+    first appearance.  A fixed tree (``source`` is the tree) is one topology."""
+    fixed = source if isinstance(source, UltrametricTree) else None
+    nodes = fixed.n_nodes if fixed else 2 * source - 1
+    labels = list(fixed.label) if fixed else [str(i + 1) for i in range(source)] + [""] * (source - 1)
+    rows = max(1, 3 * BLOCK // nodes)
+    out = []
+    for rng, kept in seeded_blocks(seed, (0,), replicates, rows):
+        if fixed:
+            parent, length = np.tile(fixed.parent, (kept, 1)), np.tile(fixed.length, (kept, 1))
+        else:
+            parent, length = coalescent_block(source, kept, rng)
+        groups = {}  # parent array -> its rows, in order of first appearance
+        for b in range(kept):
+            groups.setdefault(tuple(parent[b].tolist()), []).append(b)
+        block = [None] * kept
+        for par, members in groups.items():
+            topology = UltrametricTree.build(list(par), length[members[0]].tolist(), labels)
+            sim = simulate_block(topology, length[members], params, rng)
+            for i, b in enumerate(members):
+                t = UltrametricTree.build(list(par), length[b].tolist(), labels)
+                block[b] = (t, sim.arrays(i))
+        out.extend(block)
+    return out
+
+
+def arrays_csv(replicates):
+    """What ``csv.writer`` writes for the arrays of (tree, leaf arrays)
+    replicates numbered from 1: by replicate, leaf and position."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["replicate", "leaf", "position", "spacer"])
+    for rep, (t, arrays_) in enumerate(replicates, start=1):
+        for leaf in t.leaves:
+            writer.writerows([rep, leaf, pos, token] for pos, token in enumerate(arrays_[leaf], 1))
+    return buf.getvalue()
+
+
+def read_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+FOUR_LEAVES = "((1:0.5,2:0.5):0.5,(3:0.25,4:0.25):0.75);"
+
+
+@pytest.mark.parametrize("source", [2, 3, 4, 5, 6, FOUR_LEAVES])
+def test_simulate_rows_follow_the_block_rule(tmp_path, source):
+    if isinstance(source, int):
+        tree_arg = f"coalescent:{source}"
+    else:
+        tree_arg = str(tmp_path / "tree.nwk")
+        write(tree_arg, source)
+        source = parse_newick(source)
+    arrays = tmp_path / "a.csv"
+    params = ModelParams(theta=6.0, rho=1.0)
+    # 320 rows span two blocks from coalescent:3 on and three at coalescent:6
+    assert run_cli(
+        "simulate", "--tree", tree_arg, "--theta", "6", "--rho", "1",
+        "--replicates", "320", "--seed", "4", "--out", str(arrays),
+    ) == 0
+    want = block_rule_replicates(source, params, 320, 4)
+    lines = read_lines(str(arrays) + ".trees")
+    assert lines == [to_newick(t) for t, _ in want]
+    assert all(to_newick(parse_newick(line)) == line for line in lines)
+    with open(arrays, newline="") as fh:
+        assert fh.read() == arrays_csv(want)
+
+
+def test_simulate_is_deterministic_and_full_blocks_keep_their_rows(tmp_path):
+    def run(name, replicates):
+        out = tmp_path / name
+        assert run_cli(
+            "simulate", "--tree", "coalescent:2", "--theta", "8", "--rho", "1",
+            "--replicates", str(replicates), "--seed", "9", "--out", str(out),
+        ) == 0
+        with open(out, "rb") as fh, open(str(out) + ".trees", "rb") as th:
+            return fh.read(), th.read()
+
+    full = run("a.csv", 512)
+    assert run("b.csv", 512) == full
+    arrays, trees = run("c.csv", 600)
+    assert trees.splitlines()[:512] == full[1].splitlines()
+    rows = arrays.splitlines(keepends=True)
+    assert b"".join(r for r in rows if r[:1].isdigit() and int(r.split(b",")[0]) <= 512) \
+        == full[0].split(b"\r\n", 1)[1]
+    assert any(r[:1].isdigit() and int(r.split(b",")[0]) > 512 for r in rows)
+
+
+def test_simulate_quotes_a_leaf_label_as_csv_does(tmp_path):
+    label_tree = '(q"t:1,u:1);'
+    write(tmp_path / "tree.nwk", label_tree)
+    arrays = tmp_path / "a.csv"
+    assert run_cli(
+        "simulate", "--tree", str(tmp_path / "tree.nwk"), "--theta", "40", "--rho", "1",
+        "--replicates", "5", "--seed", "2", "--out", str(arrays),
+    ) == 0
+    want = block_rule_replicates(parse_newick(label_tree), ModelParams(40.0, 1.0), 5, 2)
+    with open(arrays, newline="") as fh:
+        text = fh.read()
+    assert text == arrays_csv(want) and '"q""t"' in text
+    stats = tmp_path / "s.csv"
+    trees = str(arrays) + ".trees"
+    assert run_cli("stats", "--arrays", str(arrays), "--trees", trees, "--out", str(stats)) == 0
+    assert [row[:2] for row in read_rows(stats)[1:]] == [
+        [str(rep), str(pair_stats(a).m)] for rep, (_, a) in enumerate(want, start=1)
+    ]
+
+
+@pytest.mark.parametrize("replicates", ["0", "-3"])
+def test_simulate_rejects_a_replicate_count_below_one(tmp_path, capsys, replicates):
+    assert run_cli(
+        "simulate", "--tree", "coalescent:2", "--theta", "5", "--rho", "1",
+        "--replicates", replicates, "--out", str(tmp_path / "a.csv"),
+    ) == 2
+    assert capsys.readouterr().err == "error: replicate count must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @st.composite
@@ -212,13 +351,14 @@ def test_simulate_stats_estimate_roundtrip_coalescent(
         "simulate", "--tree", f"coalescent:{n}", "--theta", repr(theta), "--rho", repr(rho),
         "--replicates", str(replicates), "--seed", str(seed), "--out", str(arrays),
     ) == 0
-    # each replicate rebuilt in memory as the cli docstring seeds it; the
-    # trees file keeps 12 significant digits of each branch length
-    reps = {}
-    for rep in range(1, replicates + 1):
-        t = sample_coalescent(n, mix_seed(seed, 1, rep))
-        sim = simulate_tree(t, ModelParams(theta=theta, rho=rho), mix_seed(seed, 0, rep))
-        reps[rep] = (sim.arrays, parse_newick(to_newick(t)))
+    # each replicate rebuilt in memory by the block rule of the cli
+    # docstring; the trees file keeps 12 significant digits of each length
+    reps = {
+        rep: (arrays_, parse_newick(to_newick(t)))
+        for rep, (t, arrays_) in enumerate(
+            block_rule_replicates(n, ModelParams(theta=theta, rho=rho), replicates, seed), start=1
+        )
+    }
     # the arrays file cannot hold an empty array: a replicate whose leaves
     # are all empty is absent, and one empty leaf fails stats
     present = [rep for rep, (a, _) in reps.items() if any(a.values())]
@@ -551,7 +691,7 @@ def test_failed_simulate_leaves_no_files(tmp_path, monkeypatch):
     def failing(*args):
         raise ValueError("simulation failed")
 
-    monkeypatch.setattr(cli, "simulate_tree", failing)
+    monkeypatch.setattr(cli, "simulate_block", failing)
     assert run_cli(
         "simulate", "--tree", "coalescent:2", "--theta", "1", "--rho", "1",
         "--out", str(out), "--trees-out", str(tmp_path / "t.nwk"),
@@ -722,8 +862,10 @@ def test_simulate_on_deep_caterpillar(tmp_path):
     write(path, canonical)
     assert run_cli(
         "simulate", "--tree", str(path), "--theta", "1", "--rho", "1",
-        "--replicates", "1", "--seed", "0", "--out", str(tmp_path / "a.csv"),
+        "--replicates", "3", "--seed", "0", "--out", str(tmp_path / "a.csv"),
     ) == 0
+    # one row per block: three blocks of the one topology
+    assert read_lines(tmp_path / "a.csv.trees") == [canonical] * 3
 
 
 def test_package_exports_resolve():

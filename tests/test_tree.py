@@ -10,7 +10,9 @@ from spacerloss.tree import (
     NewickError,
     TreeError,
     UltrametricTree,
+    coalescent_block,
     mrca,
+    newick_lines,
     p_exact_subset,
     parse_newick,
     poisson_mean_new,
@@ -113,6 +115,50 @@ def test_coalescent_determinism():
 def test_coalescent_pair_height_is_standard_exponential():
     heights = [sample_coalescent(2, s).height for s in range(2000)]
     assert sps.kstest(heights, "expon").pvalue > 1e-4
+
+
+def _coalescent_rows(n, rows, seed):
+    return coalescent_block(n, rows, np.random.default_rng(seed))
+
+
+def test_coalescent_block_rows_are_trees():
+    parent, length = _coalescent_rows(5, 50, 3)
+    labels = [str(i + 1) for i in range(5)] + [""] * 4
+    for par, lens in zip(parent.tolist(), length.tolist()):
+        # build() checks the tree is binary, rooted at the last node and ultrametric
+        t = UltrametricTree.build(par, lens, labels)
+        assert t.root == 8 and t.leaves == ("1", "2", "3", "4", "5")
+        assert [par[v] > v for v in range(8)] == [True] * 8  # mergers in order
+
+
+def test_coalescent_block_triple_cherries_and_epochs():
+    parent, length = _coalescent_rows(3, 6000, 11)
+    # the first merger makes node 3, whose children are the cherry
+    cherry = [tuple(np.flatnonzero(row[:3] == 3).tolist()) for row in parent]
+    counts = [cherry.count(pair) for pair in [(0, 1), (0, 2), (1, 2)]]
+    assert sum(counts) == 6000
+    assert sps.chisquare(counts).pvalue > 1e-3
+    # the epoch of 3 lines is a cherry leaf's edge, that of 2 the cherry's edge
+    first, second = length[np.arange(6000), [c[0] for c in cherry]], length[:, 3]
+    for sample, mean in ((first, 1 / 3), (second, 1.0)):
+        assert abs(sample.mean() - mean) < 4 * mean / math.sqrt(len(sample))
+
+
+def test_coalescent_block_labelled_ranked_topologies_are_uniform():
+    parent, _ = _coalescent_rows(4, 6000, 5)
+    _, counts = np.unique(parent, axis=0, return_counts=True)
+    # 6 x 3 x 1 ranked mergers of 4 labelled leaves
+    assert len(counts) == 18
+    assert sps.chisquare(counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("text", [TRIPLE, "((a{0}:1,b}:1):2,(c:2.5,{d:2.5):0.5);"])
+def test_newick_lines_fill_the_to_newick_walk_per_row(text):
+    t = parse_newick(text)
+    lengths = np.array([t.length, [x * 1.0000001 for x in t.length]])
+    first, second = newick_lines(t, lengths)
+    assert first == to_newick(t)
+    assert second == to_newick(UltrametricTree.build(list(t.parent), lengths[1].tolist(), list(t.label)))
 
 
 def test_survival_matches_hand_recursion():
