@@ -33,7 +33,8 @@ of the last, partial block depend on the replicate count.  A
 ``coalescent:N`` block draws all its trees with one
 :func:`spacerloss.tree.coalescent_block` call, then runs one
 :func:`spacerloss.process.simulate_block` per labelled ranked topology,
-in order of first appearance; a fixed tree is one topology.
+in order of first appearance; a fixed tree is one topology.  A
+``replicate-fig1`` block takes only that sampler's epoch durations.
 """
 
 from __future__ import annotations
@@ -134,11 +135,10 @@ def _block_trees(fixed: UltrametricTree | None, coal_n: int | None, rows: int, r
     parent, length = coalescent_block(coal_n, rows, rng)
     _, first, inverse = np.unique(parent, axis=0, return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
-    labels = [str(i + 1) for i in range(coal_n)] + [""] * (coal_n - 1)
     groups = []
     for g in np.argsort(first).tolist():
         idx = np.flatnonzero(inverse == g)
-        tree = UltrametricTree.build(parent[idx[0]].tolist(), length[idx[0]].tolist(), labels)
+        tree = treemod.coalescent_tree(parent[idx[0]], length[idx[0]])
         groups.append((tree, idx, length[idx]))
     return groups
 
@@ -521,9 +521,7 @@ def _coalescent_block(n: int, rho: float, theta_factor: float, rng):
     :class:`~spacerloss.process.Block` and the (BLOCK x n-1) epoch
     times, with k = n..2 lines in column n - k."""
     tree = parse_newick(_FIG1_NEWICK[n])
-    # epoch k (k lines, from n down to 2) lasts Exp(k(k-1)/2)
-    rates = np.array([k * (k - 1) / 2.0 for k in range(n, 1, -1)])
-    epochs = rng.exponential(1.0, (BLOCK, n - 1)) / rates
+    epochs = treemod.coalescent_epochs(n, BLOCK, rng)
     c1, c2 = tree.leaf_ids["1"], tree.leaf_ids["2"]
     lengths = np.zeros((BLOCK, tree.n_nodes))
     lengths[:, c1] = lengths[:, c2] = epochs[:, 0]
@@ -699,6 +697,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, treemod.TreeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation; a bare one has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

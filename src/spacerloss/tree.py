@@ -19,6 +19,8 @@ Conventions
   leaf bit), so ``to_newick`` is canonical
 * ultrametricity is checked with relative tolerance 1e-9 and violations
   are rejected, never repaired
+* one sampler, :func:`coalescent_block`, draws every Kingman tree, a
+  block at a time; :func:`sample_coalescent` is its one-row view
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ __all__ = [
     "to_newick",
     "newick_lines",
     "sample_coalescent",
+    "coalescent_epochs",
     "coalescent_block",
+    "coalescent_tree",
     "subset_mask",
     "mask_subset",
     "mrca",
@@ -311,74 +315,67 @@ def newick_lines(tree: UltrametricTree, lengths) -> list[str]:
 # -- Kingman coalescent ------------------------------------------------
 
 
-def sample_coalescent(n: int, seed=None) -> UltrametricTree:
-    """Sample a Kingman coalescent tree with ``n`` leaves (labels '1'..'n').
-
-    With k active lines the waiting time to the next merger is
-    Exp(k(k-1)/2) and a uniform random pair merges.  ``seed`` may be an
-    int, a SeedSequence, or a Generator.
-    """
-    if n < 2:
-        raise TreeError("coalescent sample size must be >= 2")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n_nodes = 2 * n - 1
-    parent = [-1] * n_nodes
-    length = [0.0] * n_nodes
-    label = [""] * n_nodes
-    depth = [0.0] * n_nodes
-    for i in range(n):
-        label[i] = str(i + 1)
-    active = list(range(n))
-    t = 0.0
-    nxt = n
-    while len(active) > 1:
-        k = len(active)
-        t += rng.exponential(1.0) / (k * (k - 1) / 2.0)
-        i, j = rng.choice(k, size=2, replace=False)
-        a, b = active[int(i)], active[int(j)]
-        depth[nxt] = t
-        for c in (a, b):
-            parent[c] = nxt
-            length[c] = t - depth[c]
-        active = [x for x in active if x not in (a, b)] + [nxt]
-        nxt += 1
-    # depths were measured upward from the leaves; build() checks ultrametricity
-    return UltrametricTree.build(parent, length, label)
+def coalescent_epochs(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """The (rows x n-1) epoch durations of ``rows`` Kingman coalescent trees
+    with ``n`` leaves, in one call: epoch e (k = n - e lines) lasts
+    Exp(k(k-1)/2)."""
+    ks = np.arange(n, 1, -1)
+    return rng.exponential(1.0, (rows, n - 1)) / (ks * (ks - 1) / 2.0)
 
 
 def coalescent_block(n: int, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``rows`` Kingman coalescent trees with ``n`` leaves at once.
 
-    Returns (parent, length), two (rows x 2n-1) arrays in the node ids of
-    :func:`sample_coalescent`: leaves 0..n-1 are labelled '1'..'n', merger
-    e makes node n + e, the root's parent is -1 and its length 0.  So a
-    row's parent array is its labelled ranked topology.  One call draws
-    every epoch, epoch e (k = n - e lines) lasting Exp(k(k-1)/2), and one
-    the merging pair of each epoch, a uniform pair of the k active lines.
+    Returns (parent, length), two (rows x 2n-1) arrays: leaves 0..n-1 are
+    labelled '1'..'n' (see :func:`coalescent_tree`), merger e makes node
+    n + e, the root's parent is -1 and its length 0.  So a row's parent
+    array is its labelled ranked topology.  One call draws every epoch
+    (:func:`coalescent_epochs`), and one the merging pair of each epoch,
+    a uniform pair of the k active lines.
     """
     if n < 2:
         raise TreeError("coalescent sample size must be >= 2")
+    epochs = coalescent_epochs(n, rows, rng)
     ks = np.arange(n, 1, -1)
-    epochs = rng.exponential(1.0, (rows, n - 1)) / (ks * (ks - 1) / 2.0)
     # an ordered pair of distinct positions: i among k, j among the other k - 1
-    picks = rng.integers(0, np.stack((ks, ks - 1), axis=1), (rows, n - 1, 2))
+    i, j = rng.integers(0, ks[:, None] - (0, 1), (rows, n - 1, 2)).transpose(2, 1, 0)
+    # ``active`` holds the lines of each row in any order, position major:
+    # position p of row r is active[p * rows + r]
+    r = np.arange(rows)
+    i, j = i * rows + r, (j + (j >= i)) * rows + r
+    active = np.repeat(np.arange(n), rows)
+    children = []  # the two lines of each merger, in merger order
+    for e, (ie, je) in enumerate(zip(i, j)):
+        children += active[ie], active[je]
+        # the merged node takes position i and the last line (position
+        # k - 1, k = n - e) position j: positions below k - 1 hold the rest
+        active[ie] = n + e
+        active[je] = active[(n - e - 1) * rows : (n - e) * rows]
+    r = r[:, None]
+    parent = np.full((rows, 2 * n - 1), -1, dtype=np.int64)
+    parent[r, np.array(children).T] = np.repeat(np.arange(n, 2 * n - 1), 2)
     depth = np.zeros((rows, 2 * n - 1))
     depth[:, n:] = np.cumsum(epochs, axis=1)
-    parent = np.full((rows, 2 * n - 1), -1, dtype=np.int64)
-    active = np.tile(np.arange(n), (rows, 1))  # the lines of each row, in any order
-    r = np.arange(rows)
-    for e, k in enumerate(ks.tolist()):
-        i, j = picks[:, e, 0], picks[:, e, 1]
-        j = j + (j >= i)
-        parent[r, active[r, i]] = parent[r, active[r, j]] = n + e
-        # the merged node takes position i and the last line position j;
-        # dropping the last position then drops both merged lines
-        active[r, i] = n + e
-        active[r, j] = active[:, k - 1]
-        active = active[:, : k - 1]
-    length = np.zeros((rows, 2 * n - 1))
-    length[:, :-1] = np.take_along_axis(depth, parent[:, :-1], axis=1) - depth[:, :-1]
+    # the root's parent -1 is the root itself: its length is 0
+    length = depth[r, parent] - depth
     return parent, length
+
+
+def coalescent_tree(parent, length) -> UltrametricTree:
+    """The labelled tree of one row of :func:`coalescent_block`: node
+    i < n is leaf ``str(i + 1)``, the other nodes are its mergers."""
+    n = (len(parent) + 1) // 2
+    labels = [str(i + 1) for i in range(n)] + [""] * (n - 1)
+    return UltrametricTree.build(parent.tolist(), length.tolist(), labels)
+
+
+def sample_coalescent(n: int, seed=None) -> UltrametricTree:
+    """Sample a Kingman coalescent tree with ``n`` leaves (labels '1'..'n'):
+    the one-row view of :func:`coalescent_block`.  ``seed`` may be an
+    int, a SeedSequence, or a Generator."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    parent, length = coalescent_block(n, 1, rng)
+    return coalescent_tree(parent[0], length[0])
 
 
 # -- tree-geometric quantities ----------------------------------------

@@ -699,6 +699,31 @@ def test_failed_simulate_leaves_no_files(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--tree", "coalescent:2", "--theta", "10", "--rho", "1", "--out", "big.csv"],
+        ["replicate-fig1", "--n", "2", "--rho-grid", "1", "--replicates", "5", "--out", "f.csv"],
+        ["validate", "--rho", "1", "--theta", "10", "--T", "1", "--trials", "1000"],
+    ],
+    ids=["simulate", "replicate-fig1", "validate"],
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB for an array", ""])
+def test_memory_error_exits_2_and_leaves_no_files(tmp_path, monkeypatch, capsys, argv, message):
+    from spacerloss import validation
+
+    def failing(*args):
+        raise MemoryError(message)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "simulate_block", failing)
+    monkeypatch.setattr(validation, "simulate_block", failing)
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message or 'out of memory'}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("trees_out", ["a.csv", "./sub/../a.csv"])
 def test_simulate_rejects_one_path_for_both_outputs(tmp_path, monkeypatch, capsys, trees_out):
     monkeypatch.chdir(tmp_path)

@@ -25,7 +25,14 @@ from spacerloss.process import (
     simulate_line,
     simulate_tree,
 )
-from spacerloss.tree import parse_newick, sample_coalescent, subset_mask
+from spacerloss.tree import (
+    coalescent_block,
+    coalescent_tree,
+    parse_newick,
+    sample_coalescent,
+    subset_mask,
+    to_newick,
+)
 from spacerloss.validation import chisquare_from_counts, run_validation, sample_gaps
 
 PARAMS = ModelParams(theta=10.0, rho=0.5)
@@ -214,6 +221,13 @@ def test_simulate_tree_is_the_one_row_block(n, tree_seed, seed):
     block = simulate_block(tree, [tree.length], params, np.random.default_rng(seed))
     assert sim.arrays == block.arrays(0)
     assert sim.root_array == tuple((tree.root << 40) | i for i in range(block.n_root[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**63))
+def test_sample_coalescent_is_the_one_row_block(n, seed):
+    parent, length = coalescent_block(n, 1, np.random.default_rng(seed))
+    assert to_newick(sample_coalescent(n, seed)) == to_newick(coalescent_tree(parent[0], length[0]))
 
 
 def test_empty_and_fully_lost_blocks():

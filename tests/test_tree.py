@@ -11,6 +11,7 @@ from spacerloss.tree import (
     TreeError,
     UltrametricTree,
     coalescent_block,
+    coalescent_tree,
     mrca,
     newick_lines,
     p_exact_subset,
@@ -121,14 +122,51 @@ def _coalescent_rows(n, rows, seed):
     return coalescent_block(n, rows, np.random.default_rng(seed))
 
 
+def _reference_block(n, rows, seed):
+    """:func:`coalescent_block` row by row with Python lists, from the same
+    draws: merger e joins positions i and j (skipping i) of the active
+    lines, puts its node at position i and the last line at position j."""
+    rng = np.random.default_rng(seed)
+    ks = np.arange(n, 1, -1)
+    epochs = rng.exponential(1.0, (rows, n - 1)) / (ks * (ks - 1) / 2.0)
+    picks = rng.integers(0, np.stack((ks, ks - 1), axis=1), (rows, n - 1, 2))
+    parents, lengths = [], []
+    for durations, pairs in zip(epochs.tolist(), picks.tolist()):
+        parent, depth, active = [-1] * (2 * n - 1), [0.0] * n, list(range(n))
+        for e, (i, j) in enumerate(pairs):
+            j += j >= i
+            parent[active[i]] = parent[active[j]] = n + e
+            depth.append(depth[-1] + durations[e])
+            active[i] = n + e
+            active[j] = active[-1]
+            active.pop()
+        parents.append(parent)
+        lengths.append([depth[p] - depth[v] if p >= 0 else 0.0 for v, p in enumerate(parent)])
+    return parents, lengths
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 9), st.integers(0, 2**63))
+def test_coalescent_block_matches_the_row_by_row_reference(n, rows, seed):
+    parent, length = _coalescent_rows(n, rows, seed)
+    want_parent, want_length = _reference_block(n, rows, seed)
+    assert parent.tolist() == want_parent
+    assert length.tolist() == want_length  # same sums in the same order: equal bits
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_coalescent_needs_two_leaves(n):
+    with pytest.raises(TreeError, match="must be >= 2"):
+        sample_coalescent(n, 0)
+
+
 def test_coalescent_block_rows_are_trees():
     parent, length = _coalescent_rows(5, 50, 3)
-    labels = [str(i + 1) for i in range(5)] + [""] * 4
-    for par, lens in zip(parent.tolist(), length.tolist()):
+    for par, lens in zip(parent, length):
         # build() checks the tree is binary, rooted at the last node and ultrametric
-        t = UltrametricTree.build(par, lens, labels)
+        t = coalescent_tree(par, lens)
         assert t.root == 8 and t.leaves == ("1", "2", "3", "4", "5")
-        assert [par[v] > v for v in range(8)] == [True] * 8  # mergers in order
+        assert [t.parent[v] > v for v in range(8)] == [True] * 8  # mergers in order
 
 
 def test_coalescent_block_triple_cherries_and_epochs():
