@@ -268,30 +268,11 @@ def _bad_arrays_row(path: str, exc: Exception) -> CliError:
     return CliError(f"{path}: {exc}")
 
 
-def _group_order(rep: np.ndarray, leaf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in a stable order by (replicate, leaf), and the index in
-    that order at which each (replicate, leaf) group starts."""
-    # a run is a stretch of rows of one group; coding the label at each
-    # run's head gives every row of a leaf that leaf's code
-    head = np.ones(len(rep), dtype=bool)
-    head[1:] = (rep[1:] != rep[:-1]) | (leaf[1:] != leaf[:-1])
-    codes: dict[str, int] = {}
-    head_codes = [codes.setdefault(x, len(codes)) for x in leaf[head].tolist()]
-    run_lengths = np.diff(np.flatnonzero(head), append=len(rep))
-    code = np.repeat(np.array(head_codes, dtype=np.int64), run_lengths)
-    order = np.lexsort((code, rep))
-    rep, code = rep[order], code[order]
-    start = np.ones(len(order), dtype=bool)
-    start[1:] = (rep[1:] != rep[:-1]) | (code[1:] != code[:-1])
-    return order, np.flatnonzero(start)
-
-
-def _read_arrays(path: str) -> dict[int, dict[str, np.ndarray]]:
-    """{replicate: {leaf: spacer tokens in position order}} of an arrays
-    CSV, parsed once into columns; each array is an int64 view into one
-    column of all tokens.  The rows of one (replicate, leaf) may be
-    interleaved with others but must hold positions 1, 2, ... in file
-    order."""
+def _read_arrays(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """An arrays CSV parsed once into columns: the tokens in (replicate,
+    leaf label, position) order, and the start, replicate and leaf of each
+    (replicate, leaf) run of them.  The rows of one (replicate, leaf) may be
+    interleaved with others but must hold positions 1, 2, ... in file order."""
     import warnings
 
     with open(path, newline="") as fh:
@@ -312,8 +293,18 @@ def _read_arrays(path: str) -> dict[int, dict[str, np.ndarray]]:
                 )
         except (ValueError, DeprecationWarning) as exc:
             raise _bad_arrays_row(path, exc) from None
-    order, starts = _group_order(rows["replicate"], rows["leaf"])
-    # the order is stable, so the k-th row of a group in it is its k-th in the file
+    rep, leaf = rows["replicate"], rows["leaf"]
+    # a run is a stretch of rows of one (replicate, leaf); ranking the few
+    # labels at run heads gives every row its leaf's rank among all labels
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (rep[1:] != rep[:-1]) | (leaf[1:] != leaf[:-1])
+    label_rank = np.unique(leaf[head], return_inverse=True)[1]
+    code = np.repeat(label_rank, np.diff(np.flatnonzero(head), append=len(rows)))
+    order = np.lexsort((code, rep))  # stable: the k-th row of a group is its k-th in the file
+    rep_sorted, code = rep[order], code[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = (rep_sorted[1:] != rep_sorted[:-1]) | (code[1:] != code[:-1])
+    starts = np.flatnonzero(start)
     rank = np.arange(len(order)) - np.repeat(starts, np.diff(starts, append=len(order)))
     wrong = order[rows["position"][order] != rank + 1]
     if wrong.size:  # the first in file order is where a row-by-row reading stops
@@ -322,15 +313,7 @@ def _read_arrays(path: str) -> dict[int, dict[str, np.ndarray]]:
             f"non-contiguous positions for replicate {rows['replicate'][i]}, "
             f"leaf {rows['leaf'][i]!r}"
         )
-    heads = rows[order[starts]]
-    tokens = rows["spacer"][order]
-    bounds = starts.tolist() + [len(tokens)]
-    replicates: dict[int, dict[str, np.ndarray]] = {}
-    for rep, leaf, start, end in zip(
-        heads["replicate"].tolist(), heads["leaf"].tolist(), bounds, bounds[1:]
-    ):
-        replicates.setdefault(rep, {})[leaf] = tokens[start:end]
-    return replicates
+    return rows["spacer"][order], starts, rep_sorted[starts], leaf[order[starts]].tolist()
 
 
 def _read_trees(path: str, n_replicates: int):
@@ -352,33 +335,51 @@ def _read_trees(path: str, n_replicates: int):
     return tree_of
 
 
+# row o swaps leaf bits o and 2 of a triple's masks, so that an outgroup at
+# bit o moves to bit 2 and the cherry to bits 0 and 1, as in replicate-fig1
+_OUTGROUP_TO_BIT2 = np.array([[0, 4, 2, 6, 1, 5, 3, 7], [0, 1, 4, 5, 2, 3, 6, 7], list(range(8))])
+
+
 def cmd_stats(args) -> int:
-    replicates = _read_arrays(args.arrays)
-    if not replicates:
+    tokens, starts, replicate, leaf = _read_arrays(args.arrays)
+    if not leaf:
         raise CliError(f"{args.arrays} has no replicates")
-    reps = sorted(replicates)
-    tree_of = _read_trees(args.trees, max(reps)) if args.trees else None
-    sizes = {len(v) for v in replicates.values()}
+    reps, leaves_per_rep = np.unique(replicate, return_counts=True)
+    tree_of = _read_trees(args.trees, int(reps[-1])) if args.trees else None
+    sizes = set(leaves_per_rep.tolist())
     if sizes - {2, 3} or len(sizes) != 1:
         raise CliError(f"stats requires 2 or 3 leaves per replicate, found {sizes}")
     n = sizes.pop()
     if n == 3 and tree_of is None:
         raise CliError("three-leaf stats need --trees for the cherry")
-    rows = []  # built before the output is opened: an input error leaves no file
-    for rep in reps:
-        # the statistics hash every token, which is fastest on Python ints
-        arrays = {leaf: tuple(tokens.tolist()) for leaf, tokens in replicates[rep].items()}
-        if tree_of is not None:
-            t = tree_of(rep)
-            if set(t.leaves) != set(arrays):
-                raise CliError(f"leaf mismatch between files at replicate {rep}")
-        if n == 2:
-            st = equal_spacers.pair_stats(arrays)
-            ds = (st.d,)
-        else:
-            st = equal_spacers.triple_stats(arrays, t.cherry())
-            ds = (st.d1, st.d2, st.d3, st.d4)
-        rows.append([rep, st.m] + ["" if d is None else d for d in ds])
+    m, mask, gap, repeat = equal_spacers.token_statistics(tokens, starts, n)
+    # checked as a replicate-by-replicate pass would: trees first, then
+    # repeats, stopping at the replicate of the first repeat
+    stop = len(reps) if repeat < 0 else (np.searchsorted(starts, repeat, "right") - 1) // n
+    outgroup = []  # the leaf bit of each triple replicate's outgroup
+    for i, rep in enumerate(reps[:stop + 1].tolist() if tree_of else []):
+        t = tree_of(rep)
+        if list(t.leaves) != leaf[i * n:i * n + n]:  # both in label order
+            raise CliError(f"leaf mismatch between files at replicate {rep}")
+        if n == 3:
+            (f3,) = set(t.leaves) - set(t.cherry())
+            outgroup.append(t.leaves.index(f3))
+    if repeat >= 0:
+        raise equal_spacers.duplicate_error(tokens, starts, leaf, repeat)
+    # one count of replicate * 2^n + mask over the rows in gaps 1..m-1
+    counted = gap >= 1
+    rep_row = np.repeat(np.arange(len(reps)), np.diff(starts[::n], append=len(tokens)))
+    key = rep_row[counted] << n | mask[counted].astype(np.intp)
+    totals = np.bincount(key, minlength=len(reps) << n).reshape(len(reps), 1 << n)
+    if n == 2:
+        ds = equal_spacers.interior_statistics(totals)[:, None]
+    else:
+        totals = np.take_along_axis(totals, _OUTGROUP_TO_BIT2[outgroup], axis=1)
+        ds = equal_spacers.interior_statistics(totals, (1, 2))
+    rows = [  # built before the output is opened: an input error leaves no file
+        [rep, k] + (d if k >= 2 else [""] * len(d))
+        for rep, k, d in zip(reps.tolist(), m.tolist(), ds.tolist())
+    ]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -435,7 +436,11 @@ def cmd_estimate(args) -> int:
     n_leaves = 2 if is_pair else 3
     reps = [rep for rep, _, _ in rows]
     tree_of = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
-    arrays = _read_arrays(args.arrays) if args.arrays else None
+    arrays = {} if args.arrays else None  # {replicate: {leaf: tokens}}
+    if args.arrays:
+        tokens, starts, replicate, leaf = _read_arrays(args.arrays)
+        for rep, lab, a, b in zip(replicate.tolist(), leaf, starts, [*starts[1:], len(tokens)]):
+            arrays.setdefault(rep, {})[lab] = tokens[a:b]
     times = []  # (T, T') per row
     for rep in reps:
         if tree_of is not None:
@@ -463,6 +468,9 @@ def cmd_estimate(args) -> int:
         raise CliError("triple estimation needs --Tprime or --trees")
     else:
         fit = triple_mle(stats[:, 0], stats[:, 1:], T, [times[i][1] for i in usable])
+    missing = [rep for rep in reps if arrays is not None and rep not in arrays]
+    if missing:  # estimated or not, every replicate needs its arrays
+        raise CliError(f"replicate {missing[0]} is missing from {args.arrays}")
     fitted = zip(fit.rho_hat.tolist(), fit.loglik.tolist(), fit.boundary.tolist())
     out = []  # built before the output is opened: an input error leaves no file
     for rep, m, _ in rows:
@@ -472,8 +480,6 @@ def cmd_estimate(args) -> int:
         rho_hat, loglik, boundary = next(fitted)
         theta = ""
         if arrays is not None and rho_hat > 0:
-            if rep not in arrays:
-                raise CliError(f"replicate {rep} is missing from {args.arrays}")
             theta = _fmt(estimate_theta_moment(rho_hat, arrays[rep]))
         out.append([rep, _fmt(rho_hat), theta, _fmt(loglik), str(boundary).lower(), ""])
     with open(args.out, "w", newline="") as fh:

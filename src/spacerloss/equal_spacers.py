@@ -3,11 +3,12 @@
 Positions are 1-based, counted from the leader end.  A spacer is "equal"
 when it appears in every sampled array; the gap decomposition counts, for
 each segment between consecutive equal spacers, the spacers present in
-exactly each proper leaf subset.  Membership is one pass,
-:func:`leaf_masks`, giving each spacer the mask of the leaves holding it
-in the leaf-bit order of :mod:`spacerloss.tree`.  A spacer held by
-exactly a proper subset K is counted once, in the gap of its first
-holder by label.
+exactly each proper leaf subset.  A spacer held by exactly a proper
+subset K is counted once, in the gap of its first holder by label.
+
+One columnar kernel, :func:`token_statistics`, runs on the arrays of a
+whole file for ``stats``; the functions taking one replicate's arrays are
+its one-row views.  Its leaf masks are uint64s: at most 64 arrays.
 
 Statistics for estimation are taken over interior gaps only (between the
 first and last equal spacer); the leader-side segment mixes old and new
@@ -25,9 +26,8 @@ equal spacer, in gap 0.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,27 +38,79 @@ __all__ = [
     "GapDecomposition",
     "PairStats",
     "TripleStats",
+    "duplicate_error",
     "equal_indices",
     "gap_decomposition",
     "interior_statistics",
     "interior_totals",
     "pair_stats",
+    "token_statistics",
     "triple_stats",
 ]
 
 Arrays = Mapping[str, Sequence[int]]
 
 
-def leaf_masks(arrays: Arrays) -> dict[int, int]:
-    """Map each spacer to the mask of the leaves holding it; reject repeats within an array."""
-    masks: dict[int, int] = {}
-    for i, lab in enumerate(sorted(arrays)):
-        for s in arrays[lab]:
-            mask = masks.get(s, 0)
-            if mask >> i & 1:
-                raise ValueError(f"duplicate spacer {s} in array {lab!r}")
-            masks[s] = mask | 1 << i
-    return masks
+def token_statistics(tokens: np.ndarray, starts: np.ndarray, n: int):
+    """Membership and gaps of every spacer of replicates of ``n`` arrays each.
+
+    ``tokens`` holds int64 spacer tokens in (replicate, leaf, position)
+    order, the leaves of a replicate in label order; array j starts at
+    ``starts[j]`` and may be empty.  Its leaf bit is j % n, the rank of its
+    label.  Returns ``(m, mask, gap, repeat)``:
+
+    - ``m``, the equal spacers of each replicate;
+    - ``mask``, per row, the uint64 mask of the leaves holding its token;
+    - ``gap``, per row, its gap where :class:`GapDecomposition` counts it
+      (held by a proper subset, in its first holder, before the last
+      equal spacer), and -1 elsewhere;
+    - ``repeat``, the first row whose token is already earlier in its
+      array, or -1.  Where there is one, the other outputs mean nothing.
+    """
+    if n > 64:
+        raise ValueError("leaf masks hold at most 64 arrays")
+    rows = len(tokens)
+    lengths = np.concatenate((starts[1:], [rows])) - starts  # np.diff costs more
+    run = np.arange(len(starts)).repeat(lengths)
+    rep = run // n
+    # stable: a token's rows stay in (leaf, position) order, so the first
+    # is its first holder and a repeat within an array follows the original
+    order = np.lexsort((tokens, rep))
+    t, r, sorted_run = tokens[order], rep[order], run[order]
+    head = np.ones(rows, dtype=bool)
+    head[1:] = (t[1:] != t[:-1]) | (r[1:] != r[:-1])
+    again = (sorted_run[1:] == sorted_run[:-1]) & ~head[1:]
+    repeat = int(order[1:][again].min()) if again.any() else -1
+    mask, first_holder = np.empty(rows, dtype=np.uint64), np.empty(rows, dtype=bool)
+    if rows:
+        heads = head.nonzero()[0]
+        held = np.bitwise_or.reduceat(np.uint64(1) << (sorted_run % n).astype(np.uint64), heads)
+        mask[order] = held.repeat(np.concatenate((heads[1:], [rows])) - heads)
+    first_holder[order] = head
+    equal = mask == ~np.uint64(0) >> np.uint64(64 - n)
+    seen = np.zeros(rows + 1, dtype=np.intp)  # equal rows before each row
+    equal.cumsum(out=seen[1:])
+    m = seen[(starts + lengths)[::n]] - seen[starts[::n]]  # in each first array
+    gap = seen[:-1] - seen[starts][run]
+    return m, mask, np.where(first_holder & ~equal & (gap < m[rep]), gap, -1), repeat
+
+
+def duplicate_error(tokens, starts, labels, row: int) -> ValueError:
+    """The error for :func:`token_statistics`' ``repeat`` row; ``labels`` name the arrays."""
+    j = np.searchsorted(starts, row, side="right") - 1  # past empty arrays
+    return ValueError(f"duplicate spacer {tokens[row]} in array {labels[j]!r}")
+
+
+def _one_row(arrays: Arrays):
+    """Sorted labels, array starts, m, mask and gap of one replicate."""
+    leaves = sorted(arrays)
+    cols = [arrays[lab] for lab in leaves]
+    tokens = np.array(list(chain.from_iterable(cols)), dtype=np.int64)
+    starts = np.array(list(accumulate(map(len, cols), initial=0))[:-1], dtype=np.intp)
+    m, mask, gap, repeat = token_statistics(tokens, starts, len(leaves))
+    if repeat >= 0:
+        raise duplicate_error(tokens, starts, leaves, repeat)
+    return leaves, starts, int(m[0]), mask, gap
 
 
 def equal_indices(arrays: Arrays, K, L=None) -> dict[str, list[int]]:
@@ -74,11 +126,12 @@ def equal_indices(arrays: Arrays, K, L=None) -> dict[str, list[int]]:
     for k in L:
         if k not in arrays:
             raise KeyError(f"no array for leaf {k!r}")
-    leaves, masks = sorted(arrays), leaf_masks(arrays)
-    want, care = subset_mask(leaves, K), subset_mask(leaves, L)
+    leaves, starts, _, mask, _ = _one_row(arrays)
+    hit = (mask & np.uint64(subset_mask(leaves, L))) == np.uint64(subset_mask(leaves, K))
+    ends = np.concatenate((starts[1:], [len(mask)]))
     return {
-        k: [i + 1 for i, s in enumerate(arrays[k]) if masks[s] & care == want]
-        for k in sorted(K)
+        k: (hit[a:b].nonzero()[0] + 1).tolist()
+        for k, a, b in zip(leaves, starts, ends) if k in K
     }
 
 
@@ -97,30 +150,14 @@ class GapDecomposition:
     counts: Mapping[frozenset, tuple[int, ...]]
 
 
-def mask_gaps(arrays: Arrays, masks: Mapping[int, int]) -> tuple[int, dict[int, list[int]]]:
-    """m and the per-gap counts of :class:`GapDecomposition`, keyed by leaf mask."""
-    full = (1 << len(arrays)) - 1
-    m = sum(1 for mask in masks.values() if mask == full)
-    counts: dict[int, list[int]] = defaultdict(lambda: [0] * m)
-    for i, lab in enumerate(sorted(arrays)):
-        gap = 0
-        for s in arrays[lab]:
-            if gap == m:
-                break  # the rest trails the last equal spacer
-            mask = masks[s]
-            if mask == full:
-                gap += 1
-            elif not mask & ((1 << i) - 1):  # no earlier label holds s
-                counts[mask][gap] += 1
-    return m, counts
-
-
 def gap_decomposition(arrays: Arrays) -> GapDecomposition:
     """Decompose the arrays into per-gap exact-subset counts."""
     if len(arrays) < 2:
         raise ValueError("need at least 2 leaf arrays")
-    m, counts = mask_gaps(arrays, leaf_masks(arrays))
-    leaves = sorted(arrays)
+    leaves, _, m, mask, gap = _one_row(arrays)
+    counts: dict[int, list[int]] = {}  # per mask, in order of the first counted row
+    for k, g in zip(mask[gap >= 0].tolist(), gap[gap >= 0].tolist()):
+        counts.setdefault(k, [0] * m)[g] += 1
     return GapDecomposition(m, {mask_subset(leaves, k): tuple(v) for k, v in counts.items()})
 
 
@@ -181,10 +218,12 @@ class PairStats:
 def pair_stats(arrays: Arrays) -> PairStats:
     if len(arrays) != 2:
         raise ValueError("pair_stats requires exactly 2 leaf arrays")
-    m, counts = mask_gaps(arrays, leaf_masks(arrays))
+    _, _, m, mask, gap = _one_row(arrays)
     # every unshared spacer of a pair is held by one leaf only: mask 1 or 2
-    v = tuple(accumulate(counts[1]))
-    w = tuple(accumulate(counts[2]))
+    v, w = (
+        tuple(accumulate(np.bincount(gap[(mask == k) & (gap >= 0)], minlength=m).tolist()))
+        for k in (1, 2)
+    )
     d = (v[-1] - v[0]) + (w[-1] - w[0]) if m >= 2 else None
     return PairStats(m=m, v=v, w=w, d=d)
 
@@ -214,11 +253,10 @@ def triple_stats(arrays: Arrays, cherry: tuple[str, str]) -> TripleStats:
         raise ValueError("triple_stats requires exactly 3 leaf arrays")
     f1, f2 = cherry
     (_,) = set(arrays) - {f1, f2}  # the cherry is two distinct leaves of the three
-    m, counts = mask_gaps(arrays, leaf_masks(arrays))
+    leaves, _, m, mask, gap = _one_row(arrays)
     if m < 2:
         return TripleStats(m=m, d1=None, d2=None, d3=None, d4=None)
-    leaves = sorted(arrays)
-    totals = [sum(counts[k][1:]) for k in range(8)]
+    totals = np.bincount(mask[gap >= 1].astype(np.intp), minlength=8)
     bits = (subset_mask(leaves, {f1}), subset_mask(leaves, {f2}))
     d1, d2, d3, d4 = interior_statistics(totals, bits).tolist()
     return TripleStats(m=m, d1=d1, d2=d2, d3=d3, d4=d4)

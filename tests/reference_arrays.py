@@ -5,8 +5,8 @@ Each row is read with ``csv.DictReader`` and checked as it arrives, so
 the first row out of order is where it stops.  It takes what Python's
 ``int`` takes and does not check the field count or the int64 range;
 on files that hold four fields of int64 integers per row it defines
-what ``spacerloss.cli._read_arrays`` returns and which replicate and
-leaf it names.
+the arrays that the columns of ``spacerloss.cli._read_arrays`` hold and
+which replicate and leaf it names.
 """
 
 import csv

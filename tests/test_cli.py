@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -10,6 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_arrays import read_arrays as reference_read_arrays
+from test_equal_spacers import (
+    _leaf_arrays, _reference_pair, _reference_repeat, _reference_triple,
+)
 
 import spacerloss
 from spacerloss import cli
@@ -198,6 +202,36 @@ def test_stats_leaf_mismatch_writes_no_file(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run_cli("stats", "--arrays", str(arrays), "--trees", str(trees), "--out", str(out)) == 2
     assert "leaf mismatch between files at replicate 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "repeat_at, mismatch_at, message",
+    [(2, 3, "duplicate spacer 4 in array '2'"),
+     (3, 2, "leaf mismatch between files at replicate 2"),
+     (2, 2, "leaf mismatch between files at replicate 2"),
+     (0, 3, "replicate numbers start at 1, found 0")],
+)
+def test_stats_reports_the_first_failing_replicate(
+    tmp_path, capsys, repeat_at, mismatch_at, message
+):
+    # replicates 0 (only when it holds the repeat), 1, 2 and 3; the checks
+    # of one replicate run in the order tree, leaves, repeated spacer
+    reps = sorted({repeat_at, 1, 2, 3})
+    rows = []
+    for rep in reps:
+        second = [5, 4, 6, 4] if rep == repeat_at else [5, 4, 6]
+        rows += [[rep, "1", i, t] for i, t in enumerate([5, 6], 1)]
+        rows += [[rep, "2", i, t] for i, t in enumerate(second, 1)]
+    arrays = tmp_path / "arrays.csv"
+    _write_arrays(arrays, rows, [False] * len(rows), "\n")
+    trees = tmp_path / "trees.nwk"
+    write(trees, "".join(
+        "(1:1,3:1);\n" if rep == mismatch_at else "(1:1,2:1);\n" for rep in range(1, 4)
+    ))
+    out = tmp_path / "s.csv"
+    assert run_cli("stats", "--arrays", str(arrays), "--trees", str(trees), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -537,10 +571,16 @@ def test_arrays_float_fallback_is_rejected(tmp_path, monkeypatch):
 
 
 def _read_arrays_as_tuples(path):
-    return {
-        rep: {leaf: tuple(a.tolist()) for leaf, a in arrays.items()}
-        for rep, arrays in cli._read_arrays(path).items()
-    }
+    """{replicate: {leaf: tokens}} rebuilt from the columnar reader's runs,
+    which must come in (replicate, leaf label) order."""
+    tokens, starts, replicate, leaf = cli._read_arrays(path)
+    runs = list(zip(replicate.tolist(), leaf))
+    assert runs == sorted(set(runs))
+    ends = starts[1:].tolist() + [len(tokens)]
+    out = {}
+    for (rep, label), start, end in zip(runs, starts.tolist(), ends):
+        out.setdefault(rep, {})[label] = tuple(tokens[start:end].tolist())
+    return out
 
 
 def test_arrays_tokens_are_int64(tmp_path):
@@ -599,6 +639,75 @@ def test_columnar_reader_matches_the_row_by_row_reader(
     with pytest.raises(cli.CliError) as got:
         cli._read_arrays(path)
     assert str(got.value) == str(want.value)
+
+
+# a triple's labels go into Newick too, which cannot hold a comma
+PAIR_LABELS = ("1", "2", "10", "a,b", 'q"t', " lead")
+TRIPLE_LABELS = ("1", "2", "10", "B", 'q"t')
+
+
+@st.composite
+def stats_inputs(draw):
+    """(n, {replicate: leaf arrays}, {replicate: cherry}, file rows): 2 or
+    3 nonempty arrays per replicate, label sets differing between
+    replicates, and the rows of all groups interleaved."""
+    n = draw(st.sampled_from([2, 3]))
+    replicates, cherries = {}, {}
+    for rep in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True)):
+        labels = draw(st.permutations(PAIR_LABELS if n == 2 else TRIPLE_LABELS))[:n]
+        arrays = draw(_leaf_arrays(labels))
+        for i, lab in enumerate(labels):  # the arrays CSV cannot hold an empty array
+            arrays[lab] = arrays[lab] or [100 + i]
+        replicates[rep], cherries[rep] = arrays, tuple(labels[:2])
+    # the order in which groups take their next row; each keeps its own order
+    turns = draw(st.permutations([
+        (rep, lab) for rep, arrays in replicates.items() for lab, arr in arrays.items() for _ in arr
+    ]))
+    rows, taken = [], {}
+    for rep, lab in turns:
+        taken[rep, lab] = taken.get((rep, lab), 0) + 1
+        rows.append([rep, lab, taken[rep, lab], replicates[rep][lab][taken[rep, lab] - 1]])
+    return n, replicates, cherries, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(stats_inputs())
+def test_stats_rows_match_the_reference(tmp_path_factory, inputs):
+    n, replicates, cherries, rows = inputs
+    tmp = tmp_path_factory.mktemp("stats")
+    arrays, trees, out = tmp / "arrays.csv", tmp / "trees.nwk", tmp / "stats.csv"
+    _write_arrays(arrays, rows, [False] * len(rows), "\r\n")
+    argv = ["stats", "--arrays", str(arrays), "--out", str(out)]
+    if n == 3:
+        lines = []
+        for rep in range(1, max(replicates) + 1):
+            f1, f2 = cherries.get(rep, ("1", "2"))
+            (f3,) = set(replicates.get(rep, ("1", "2", "10"))) - {f1, f2}
+            lines.append(f"(({f1}:0.5,{f2}:0.5):0.5,{f3}:1);\n")
+        write(trees, "".join(lines))
+        argv += ["--trees", str(trees)]
+    want, error = [], None
+    for rep in sorted(replicates):
+        a = replicates[rep]
+        error = _reference_repeat(a)
+        if error is not None:  # a replicate-by-replicate pass stops at the first repeat
+            break
+        if n == 2:
+            m, _, _, d = _reference_pair(a)
+            ds = [d]
+        else:
+            m, *ds = _reference_triple(a, cherries[rep])
+        want.append([str(rep), str(m)] + ["" if d is None else str(d) for d in ds])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    if error is not None:
+        assert (code, err.getvalue()) == (2, f"error: {error}\n")
+        assert not out.exists()
+    else:
+        assert code == 0
+        header = ["replicate", "M", "D"] if n == 2 else ["replicate", "M", "D1", "D2", "D3", "D4"]
+        assert read_rows(out) == [header] + want
 
 
 # statistics are empty exactly when M < 2: not when M >= 2, never only some;
@@ -870,6 +979,20 @@ def test_estimate_missing_replicate_in_arrays(tmp_path, capsys):
     ) == 2
     assert f"replicate 2 is missing from {partial}" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("first_row", ["1,5,0", "1,5,2", "1,1,"])
+def test_estimate_checks_every_replicate_against_the_arrays(tmp_path, capsys, first_row):
+    # replicate 1's estimate is 0 (D = 0), positive, or skipped (M < 2):
+    # its arrays are missing all the same
+    arrays, stats, out = tmp_path / "arrays.csv", tmp_path / "stats.csv", tmp_path / "e.csv"
+    write(arrays, "replicate,leaf,position,spacer\n2,1,1,5\n2,2,1,5\n")
+    write(stats, f"replicate,M,D\n{first_row}\n2,5,3\n")
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--T", "1", "--arrays", str(arrays), "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err == f"error: replicate 1 is missing from {arrays}\n"
+    assert not out.exists()
 
 
 def test_simulate_on_deep_caterpillar(tmp_path):

@@ -210,12 +210,26 @@ def _reference_triple(arrays, cherry):
     )
 
 
+def _reference_repeat(arrays):
+    """The error message for the first spacer repeated within an array, by
+    label, then position, or None."""
+    for lab in sorted(arrays):
+        seen = set()
+        for s in arrays[lab]:
+            if s in seen:
+                return f"duplicate spacer {s} in array {lab!r}"
+            seen.add(s)
+    return None
+
+
 @st.composite
-def _leaf_arrays(draw):
-    """2-6 arrays, in shuffled label order, each holding about 3/4 of a
-    token pool in a shared or its own order; arrays may be empty."""
-    # labels chosen so that string order differs from numeric order
-    labels = draw(st.permutations(["1", "2", "10", "a", "B", "x3"]))[: draw(st.integers(2, 6))]
+def _leaf_arrays(draw, labels=None):
+    """2-6 arrays, in shuffled label order (or the given labels), each
+    holding about 3/4 of a token pool in a shared or its own order; arrays
+    may be empty, and a few tokens may be repeated within an array."""
+    if labels is None:
+        # labels chosen so that string order differs from numeric order
+        labels = draw(st.permutations(["1", "2", "10", "a", "B", "x3"]))[: draw(st.integers(2, 6))]
     pool = list(range(draw(st.integers(0, 12))))
     shared_order = draw(st.booleans())
     arrays = {}
@@ -223,17 +237,36 @@ def _leaf_arrays(draw):
         order = pool if shared_order else draw(st.permutations(pool))
         keep = draw(st.lists(st.integers(0, 3), min_size=len(pool), max_size=len(pool)))
         arrays[lab] = [s for s, k in zip(order, keep) if k]
+    # (array, token index, insertion point) of each repeat
+    repeats = st.tuples(st.sampled_from(list(labels)), st.integers(0, 99), st.integers(0, 99))
+    for lab, i, j in draw(st.lists(repeats, max_size=2)):
+        arr = arrays[lab]
+        if arr:
+            arr.insert(j % (len(arr) + 1), arr[i % len(arr)])
     return arrays
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_leaf_arrays(), st.data())
 def test_membership_pass_matches_reference(arrays, data):
     labels = list(arrays)
-    gd = gap_decomposition(arrays)
-    assert (gd.m, gd.counts) == _reference_decomposition(arrays)
     K = data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
     L = data.draw(st.sets(st.sampled_from(labels))) | set(K)
+    cherry = tuple(data.draw(st.permutations(labels))[:2])
+    repeat = _reference_repeat(arrays)
+    if repeat is not None:
+        views = [lambda: gap_decomposition(arrays), lambda: equal_indices(arrays, K, L)]
+        if len(arrays) == 2:
+            views.append(lambda: pair_stats(arrays))
+        if len(arrays) == 3:
+            views.append(lambda: triple_stats(arrays, cherry))
+        for view in views:
+            with pytest.raises(ValueError) as exc:
+                view()
+            assert str(exc.value) == repeat
+        return
+    gd = gap_decomposition(arrays)
+    assert (gd.m, gd.counts) == _reference_decomposition(arrays)
     want = _exact_subset_tokens(arrays, K, L)
     assert equal_indices(arrays, K, L) == {
         k: [i + 1 for i, s in enumerate(arrays[k]) if s in want] for k in sorted(K)
@@ -242,6 +275,5 @@ def test_membership_pass_matches_reference(arrays, data):
         st_ = pair_stats(arrays)
         assert (st_.m, st_.v, st_.w, st_.d) == _reference_pair(arrays)
     if len(arrays) == 3:
-        cherry = tuple(data.draw(st.permutations(labels))[:2])
         st_ = triple_stats(arrays, cherry)
         assert (st_.m, st_.d1, st_.d2, st_.d3, st_.d4) == _reference_triple(arrays, cherry)

@@ -12,9 +12,8 @@ from spacerloss.likelihood import pair_gap_pmf, triple_gap_pmf
 from spacerloss.equal_spacers import (
     gap_decomposition,
     interior_totals,
-    leaf_masks,
-    mask_gaps,
     pair_stats,
+    token_statistics,
     triple_stats,
 )
 from spacerloss.process import (
@@ -170,19 +169,36 @@ def test_block_statistics_match_each_rows_tokens(n, rows, theta, rho, seed):
     equal = fates == 2**n - 1
     fates[np.cumsum(equal, axis=1) - equal >= 2] = 0
     first = interior_totals(fates, n)[1]
+    # the whole block's own token columns, by row, leaf and position; an
+    # empty array is a run of length 0
+    r, c = np.nonzero(np.concatenate([block.alive[leaf] for leaf in leaves], axis=1))
+    leaf_of = np.repeat(np.arange(n), [len(block.tokens[leaf]) for leaf in leaves])
+    tokens = np.concatenate([block.tokens[leaf] for leaf in leaves])[c]
+    lengths = np.bincount(r * n + leaf_of[c], minlength=rows * n)
+    starts = np.cumsum(lengths) - lengths
+    m_tokens, mask, gap, repeat = token_statistics(tokens, starts, n)
+    assert repeat == -1
+    assert m_tokens.tolist() == m.tolist()
+    # the file form's interior totals: rows counted in gaps 1..m-1, by mask
+    row = np.repeat(np.arange(rows), lengths.reshape(rows, n).sum(axis=1))
+    mask = mask.astype(np.int64)
+
+    def by_mask(sel):
+        return np.bincount(row[sel] * 2**n + mask[sel], minlength=rows * 2**n).reshape(rows, -1)
+
+    assert (by_mask(gap >= 1)[:, 1:] == totals[:, 1:]).all()
+    assert (by_mask(gap == 1)[:, 1:] == first[:, 1:]).all()
+    # a token's first holder is the lowest leaf bit of its mask
+    own = 1 << np.repeat(np.tile(np.arange(n), rows), lengths)
+    once = (mask & (own - 1)) == 0
     new = {v: block.fates(v) for v in range(tree.n_nodes) if v != tree.root}
     for b in range(rows):
         arrays = block.arrays(b)
-        masks = leaf_masks(arrays)
         gd = gap_decomposition(arrays)
-        if m[b] >= 2:
-            gaps = mask_gaps(arrays, masks)[1]
-            assert {k: int(first[b, k]) for k in range(1, 2**n - 1) if first[b, k]} == {
-                k: c[1] for k, c in gaps.items() if c[1]
-            }
         # the tokens of node v's gains are (v << 40) | i
+        gained = once & (row == b) & (tokens >> 40 != tree.root)
         assert Counter(k for v, f in new.items() for k in f[b].tolist() if k) == Counter(
-            k for s, k in masks.items() if s >> 40 != tree.root
+            mask[gained].tolist()
         )
         assert m[b] == gd.m
         interior = {subset_mask(leaves, K): sum(c[1:]) for K, c in gd.counts.items()}
