@@ -44,6 +44,7 @@ import csv
 import math
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,37 @@ def _bad_row(path: str, line: int, header: list[str], row: list[str]) -> CliErro
     return CliError(f"{path}, line {line}: expected integers, got {got}")
 
 
+@contextmanager
+def _committed(paths):
+    """Write files to ``paths`` all or none: yields a handle on a temporary
+    file beside each path and, once the block completes, checks every
+    destination, then renames each temporary onto its path.  On an error
+    the temporaries are removed, so no path is created or replaced."""
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(temp, "x", newline="")) for temp in temps]
+        for path in paths:
+            if os.path.isdir(path):
+                raise CliError(f"cannot write {path}: it is a directory")
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in filter(os.path.exists, temps):
+            os.remove(temp)
+
+
+@contextmanager
+def _text_file(path: str):
+    """``path`` opened as text for reading, a byte that does not decode
+    reported with the file's name."""
+    try:
+        with open(path, newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
 # -- simulate ----------------------------------------------------------
 
 
@@ -120,8 +152,12 @@ def _load_tree_source(source: str):
         return None, n
     if not os.path.exists(source):
         raise CliError(f"tree file not found: {source}")
-    with open(source) as fh:
-        return parse_newick(fh.read()), None
+    with _text_file(source) as fh:
+        text = fh.read()
+    try:
+        return parse_newick(text), None
+    except treemod.TreeError as exc:
+        raise CliError(f"{source}: {exc}") from None
 
 
 def _block_trees(fixed: UltrametricTree | None, coal_n: int | None, rows: int, rng):
@@ -212,21 +248,14 @@ def cmd_simulate(args) -> int:
     params = ModelParams(theta=args.theta, rho=args.rho)
     # a block holds about as many nodes as a pair block
     rows = max(1, 3 * BLOCK // (fixed.n_nodes if fixed is not None else 2 * coal_n - 1))
-    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]  # renamed once complete
-    try:
-        with open(temps[0], "x", newline="") as fh, open(temps[1], "x") as th:
-            fh.write(",".join(_ARRAYS_HEADER) + "\r\n")
-            for k, (rng, kept) in enumerate(seeded_blocks(args.seed, (0,), args.replicates, rows)):
-                arrays, trees = _block_text(
-                    _block_trees(fixed, coal_n, kept, rng), k * rows + 1, params, rng
-                )
-                fh.write(arrays)
-                th.write(trees)
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    finally:
-        for temp in filter(os.path.exists, temps):
-            os.remove(temp)
+    with _committed(paths) as (fh, th):
+        fh.write(",".join(_ARRAYS_HEADER) + "\r\n")
+        for k, (rng, kept) in enumerate(seeded_blocks(args.seed, (0,), args.replicates, rows)):
+            arrays, trees = _block_text(
+                _block_trees(fixed, coal_n, kept, rng), k * rows + 1, params, rng
+            )
+            fh.write(arrays)
+            th.write(trees)
     return 0
 
 
@@ -259,7 +288,7 @@ def _bad_arrays_row(path: str, exc: Exception) -> CliError:
     """The error for the first row of an arrays file that numpy could not
     parse: the first that is not four fields with int64s in the 1st, 3rd
     and 4th, or numpy's own message ``exc`` where every row is."""
-    with open(path, newline="") as fh:
+    with _text_file(path) as fh:
         reader = csv.reader(fh)
         next(reader)  # the header
         for row in reader:
@@ -275,7 +304,7 @@ def _read_arrays(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[st
     interleaved with others but must hold positions 1, 2, ... in file order."""
     import warnings
 
-    with open(path, newline="") as fh:
+    with _text_file(path) as fh:
         header = next(csv.reader(fh), None)
         if header != _ARRAYS_HEADER:
             raise CliError(f"unexpected arrays header in {path}: {header}")
@@ -317,15 +346,22 @@ def _read_arrays(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[st
 
 
 def _read_trees(path: str, n_replicates: int):
-    """The tree lookup of replicates 1..n_replicates: line r of ``path``
-    holds replicate r's tree, a single line every replicate's.  Each
-    distinct line is parsed once, however many replicates share it."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """The tree lookup of replicates 1..n_replicates: the r-th nonblank
+    line of ``path`` holds replicate r's tree, a single line every
+    replicate's.  Each distinct line is parsed once, however many
+    replicates share it."""
+    with _text_file(path) as fh:
+        numbered = {i: ln.strip() for i, ln in enumerate(fh, 1) if ln.strip()}
+    lines = list(numbered.values())
     if len(lines) != 1 and len(lines) < n_replicates:
         raise CliError(f"{path} has {len(lines)} trees for {n_replicates} replicates")
-    # a tree is immutable: replicates with the same line share one parse
-    trees = {ln: parse_newick(ln) for ln in dict.fromkeys(lines)}
+    trees = {}  # a tree is immutable: replicates with the same line share one parse
+    for i, ln in numbered.items():
+        if ln not in trees:
+            try:
+                trees[ln] = parse_newick(ln)
+            except treemod.TreeError as exc:
+                raise CliError(f"{path}, line {i}: {exc}") from None
 
     def tree_of(rep: int) -> UltrametricTree:
         if rep < 1:
@@ -411,7 +447,7 @@ def _times_from_tree(t: UltrametricTree) -> tuple[float, float | None]:
 
 
 def cmd_estimate(args) -> int:
-    with open(args.stats, newline="") as fh:
+    with _text_file(args.stats) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         is_pair = header == ["replicate", "M", "D"]
@@ -594,7 +630,7 @@ def run_fig_experiment(config: ExperimentConfig):
 
 
 def write_fig_results(config: ExperimentConfig, rows, summary) -> None:
-    with open(config.out, "w", newline="") as fh:
+    with _committed((config.out, config.out + ".summary.csv")) as (fh, sh):
         writer = csv.writer(fh)
         writer.writerow(["rho", "replicate", "rho_hat", "ratio", "skipped"])
         rho_text = {rho: _fmt(rho) for rho in config.rho_grid}
@@ -603,8 +639,7 @@ def write_fig_results(config: ExperimentConfig, rows, summary) -> None:
             else [rho_text[rho], rep, _fmt(rho_hat), _fmt(rho_hat / rho), "false"]
             for rho, rep, rho_hat in rows
         )
-    with open(config.out + ".summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(sh)
         writer.writerow(["rho"] + [f"q{q}" for q in _QUANTILES] + ["used", "skipped"])
         for rho in config.rho_grid:
             s = summary[rho]

@@ -15,10 +15,10 @@ is the number of spacers strictly between two consecutive equal spacers
 (the bounding equal spacers are not counted), so a = 0 for adjacent
 equal spacers.
 
-The general-n law (:class:`GeneralGapLaw`) builds the probabilities of
-all 2^n exact leaf subsets in one post-order pass over the tree, in
-O(2^n) numpy work and 2^n doubles, and stores their logs indexed by
-leaf mask - 1; :meth:`GeneralGapLaw.logpmf` visits only the nonzero
+The general-n law (:class:`GeneralGapLaw`) reads the probabilities of
+all 2^n exact leaf subsets off the root's table of the one post-order
+pass, :func:`spacerloss.tree.fate_probs`, and stores their logs indexed
+by leaf mask - 1; :meth:`GeneralGapLaw.logpmf` visits only the nonzero
 counts of a gap.
 """
 
@@ -34,7 +34,9 @@ import numpy as np
 
 # ``p_exact_subset`` is not called here; the benchmark's call counter
 # wraps it under this module's name
-from .tree import UltrametricTree, mask_subset, p_exact_subset, spanning_length, subset_mask
+from .tree import (
+    UltrametricTree, fate_probs, mask_subset, p_exact_subset, spanning_length, subset_mask,
+)
 
 __all__ = [
     "GeneralGapLaw",
@@ -330,8 +332,8 @@ class GeneralGapLaw:
     computed on first use, is that subset.  ``log_p_root`` is log p(r)
     and ``neg_rho_lambda`` is -rho * (total tree length).
 
-    The table comes from one post-order pass (:func:`_exact_subset_probs`)
-    and holds 2^n - 2 doubles for n leaves.
+    The table is the root's of :func:`~spacerloss.tree.fate_probs` and
+    holds 2^n - 2 doubles for n leaves.
     """
 
     tree: UltrametricTree
@@ -341,9 +343,9 @@ class GeneralGapLaw:
     neg_rho_lambda: float = field(init=False)
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        probs = _exact_subset_probs(self.tree, self.rho)
+        masks, table = fate_probs(self.tree, self.rho)
+        probs = np.empty(1 << len(self.tree.leaves))
+        probs[masks[self.tree.root]] = table[self.tree.root]
         with np.errstate(divide="ignore"):
             log_p = np.log(probs[1:-1])
         log_p.flags.writeable = False
@@ -408,39 +410,6 @@ class GeneralGapLaw:
         with np.errstate(invalid="ignore"):
             contrib = np.where(counts > 0, counts * self.log_p_subset, 0.0)
         return out + contrib.sum(axis=-1)
-
-
-def _exact_subset_probs(tree: UltrametricTree, rho: float) -> np.ndarray:
-    """``probs[mask]`` is the probability that a root spacer survives to
-    exactly the leaves of ``mask``, for all 2^n masks.
-
-    One post-order pass: a node holds the distribution over the exact leaf
-    subsets below it, as probabilities and their masks; a leaf holds
-    {0: 0, own bit: 1}; an edge of length l scales every entry by
-    e^{-rho l} and moves the lost mass 1 - e^{-rho l} to mask 0; a parent
-    takes the outer product of its children, whose masks are disjoint, so
-    each product's mask is the OR of the two.
-    """
-    prob: dict[int, np.ndarray] = {}
-    masks: dict[int, np.ndarray] = {}
-    for v in tree.postorder():
-        if tree.is_leaf(v):
-            p = np.array([0.0, 1.0])
-            m = np.array([0, tree.below[v]], dtype=np.int64)
-        else:
-            a, b = tree.children[v]
-            p = np.multiply.outer(prob.pop(b), prob.pop(a)).ravel()
-            m = np.bitwise_or.outer(masks.pop(b), masks.pop(a)).ravel()
-        if v != tree.root:
-            e = math.exp(-rho * tree.length[v])
-            # mask 0 as 1 - p(v) e, the arithmetic of ``p_exact_subset``
-            lost = 1.0 - (1.0 - p[0]) * e
-            p *= e
-            p[0] = lost
-        prob[v], masks[v] = p, m
-    probs = np.empty(1 << len(tree.leaves))
-    probs[masks[tree.root]] = prob[tree.root]
-    return probs
 
 
 def general_gap_logpmf(tree: UltrametricTree, rho: float, counts: Mapping) -> float:

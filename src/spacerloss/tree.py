@@ -21,6 +21,8 @@ Conventions
   are rejected, never repaired
 * one sampler, :func:`coalescent_block`, draws every Kingman tree, a
   block at a time; :func:`sample_coalescent` is its one-row view
+* :func:`fate_probs` gives every exact-subset probability the package
+  uses; :func:`p_exact_subset` walks one subset, any n, as the reference
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ __all__ = [
     "spanning_length",
     "survival",
     "p_exact_subset",
+    "fate_probs",
+    "new_spacer_means",
     "poisson_mean_new",
 ]
 
@@ -481,30 +485,55 @@ def p_exact_subset(
     return prob
 
 
-def poisson_mean_new(
-    tree: UltrametricTree,
-    theta: float,
-    rho: float,
-    K: Iterable[str],
-    table: SurvivalTable | None = None,
-) -> float:
-    """Mean of the Poisson count of post-root spacers shared by exactly K.
+def fate_probs(tree: UltrametricTree, rho: float) -> tuple[dict, dict]:
+    """``probs[v][i]`` is the probability that a spacer present at node v
+    survives to exactly the leaves of mask ``masks[v][i]`` below v (mask 0:
+    to none), the value of :func:`p_exact_subset` from v, for every v.
 
-    Sum over all vertices w on the path from the root (exclusive) down to
-    the MRCA of K (inclusive, even when it is a leaf) of the gained-and-
-    surviving mass on the edge above w times the exact-subset survival
-    probability from w.
-    """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    One post-order pass: a leaf holds {0: 0, own bit: 1}; the edge of
+    length l above a child scales its table by e = e^{-rho l} and puts the
+    mass 1 - s e lost on it at mask 0, s being the child's survival by the
+    recursion of :func:`survival`; a parent takes the outer product of its
+    children's scaled tables, whose disjoint masks OR together, so node v
+    holds 2^(leaves below v) entries."""
     if not rho > 0:
         raise ValueError("rho must be positive")
-    if table is None:
-        table = survival(tree, rho)
-    K = list(K)
-    total = 0.0
-    w = mrca(tree, K)
-    while w != tree.root:
-        total += (1.0 - math.exp(-rho * tree.length[w])) * p_exact_subset(tree, rho, w, K, table)
-        w = tree.parent[w]
-    return theta / rho * total
+    masks, probs, surv = {}, {}, [1.0] * tree.n_nodes
+    for v in tree.postorder():
+        if tree.is_leaf(v):
+            masks[v], probs[v] = np.array([0, tree.below[v]], np.int64), np.array([0.0, 1.0])
+            continue
+        a, b = tree.children[v]
+        ea, eb = math.exp(-rho * tree.length[a]), math.exp(-rho * tree.length[b])
+        reach_a, reach_b = surv[a] * ea, surv[b] * eb
+        pa, pb = probs[a] * ea, probs[b] * eb
+        pa[0], pb[0] = 1.0 - reach_a, 1.0 - reach_b
+        # a reach rounds to 1 when rho * length underflows
+        log_lost = math.log1p(-reach_a) if reach_a < 1.0 else -math.inf
+        log_lost += math.log1p(-reach_b) if reach_b < 1.0 else -math.inf
+        surv[v] = -math.expm1(log_lost)
+        masks[v] = np.bitwise_or.outer(masks[b], masks[a]).ravel()
+        probs[v] = np.multiply.outer(pb, pa).ravel()
+    return masks, probs
+
+
+def new_spacer_means(tree: UltrametricTree, theta: float, rho: float) -> np.ndarray:
+    """``means[mask]``, for all 2^n masks (0: no leaf), is the mean of the
+    Poisson count of spacers gained below the root that survive to exactly
+    the leaves of ``mask``: theta/rho times the sum over non-root nodes v of
+    the mass 1 - e^{-rho l} gained and kept on the edge above v times v's
+    :func:`fate_probs` entry.  A mask that is not within the leaves below
+    some non-root node, the full mask among them, has mean 0."""
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
+    masks, probs = fate_probs(tree, rho)
+    means = np.zeros(1 << len(tree.leaves))
+    for v in tree.postorder()[:-1]:  # the deeper nodes of a root path first
+        means[masks[v]] += (1.0 - math.exp(-rho * tree.length[v])) * probs[v]
+    return theta / rho * means
+
+
+def poisson_mean_new(tree: UltrametricTree, theta: float, rho: float, K: Iterable[str]) -> float:
+    """Mean of the Poisson count of post-root spacers shared by exactly K:
+    the one-subset view of :func:`new_spacer_means`."""
+    return float(new_spacer_means(tree, theta, rho)[_leaf_mask(tree, K)])

@@ -6,7 +6,7 @@ replicate and its spacers gained below the root.  :func:`run_validation`
 compares those samples with the exact-subset gap law of the tree,
 :class:`~spacerloss.likelihood.GeneralGapLaw`, whose two- and three-leaf
 cases are the paper's pair and triple laws (chi-square), and with the
-Poisson means of the new spacers (z-scores).
+new spacers' Poisson means, :func:`~spacerloss.tree.new_spacer_means` (z-scores).
 
 Only the first interior gap of each replicate is recorded: pooling a
 random number of gaps per replicate is length-biased, because replicates
@@ -25,7 +25,7 @@ from scipy import stats as sps
 from . import likelihood
 from .equal_spacers import interior_totals
 from .process import BLOCK, ModelParams, seeded_blocks, simulate_block
-from .tree import UltrametricTree, parse_newick, poisson_mean_new, subset_mask
+from .tree import UltrametricTree, new_spacer_means, parse_newick, subset_mask
 
 __all__ = ["GapSample", "chisquare_from_counts", "run_validation", "sample_gaps"]
 
@@ -129,10 +129,11 @@ def run_validation(rho, theta, T, T_prime, trials, seed=0):
     title = f"{'pair' if T_prime is None else 'triple'} gap pmf chi-square"
     chi2, p = chisquare_from_counts(gaps, probs, sum(gaps.values()))
     report = [(title, chi2, p)]
+    means = new_spacer_means(tree, theta, rho)
     for K in sample.classes:
         count = sample.new_counts[K]
         mean = count / trials
-        lam = poisson_mean_new(tree, theta, rho, K)
+        lam = float(means[subset_mask(tree.leaves, K)])
         if T_prime is None:
             name = f"new-spacer mean leaf {min(K)}"
         else:

@@ -451,13 +451,15 @@ def test_missing_tree_file_exit_code(tmp_path):
     ) == 2
 
 
-def test_malformed_newick_exit_code(tmp_path):
+def test_malformed_newick_exit_code(tmp_path, capsys):
     tree = tmp_path / "bad.nwk"
     write(tree, "(1:1,2:2,3:3")
     assert run_cli(
         "simulate", "--tree", str(tree), "--theta", "1", "--rho", "1",
         "--replicates", "1", "--seed", "0", "--out", str(tmp_path / "a.csv"),
     ) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tree}: Newick string must end with ';' (at position 12)\n"
 
 
 def test_validate_pair_passes():
@@ -844,6 +846,78 @@ def test_simulate_rejects_one_path_for_both_outputs(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == "error: --out and --trees-out name the same file: a.csv\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
     assert list((tmp_path / "sub").iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize(
+    "argv, out, blocked",
+    [
+        (["simulate", "--tree", "coalescent:2", "--theta", "10", "--rho", "1",
+          "--replicates", "3", "--out", "a.csv", "--trees-out", "blocked"], "a.csv", "blocked"),
+        (["replicate-fig1", "--n", "2", "--rho-grid", "1", "--replicates", "5",
+          "--out", "f.csv"], "f.csv", "f.csv.summary.csv"),
+    ],
+    ids=["simulate", "replicate-fig1"],
+)
+def test_an_output_that_is_a_directory_leaves_every_output_as_it_was(
+    tmp_path, monkeypatch, capsys, argv, out, blocked, existing
+):
+    # the run completes, but its second output cannot replace a directory:
+    # neither output is created or replaced
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / blocked).mkdir()
+    if existing:
+        (tmp_path / out).write_bytes(b"kept\r\n")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {blocked}: it is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([blocked] + [out] * existing)
+    assert list((tmp_path / blocked).iterdir()) == []
+    if existing:
+        assert (tmp_path / out).read_bytes() == b"kept\r\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "estimate"])
+def test_a_bad_trees_line_names_its_file_and_line(tmp_path, capsys, command):
+    arrays, stats = tmp_path / "a.csv", tmp_path / "st.csv"
+    write(arrays, "replicate,leaf,position,spacer\n1,1,1,7\n1,2,1,7\n2,1,1,8\n2,2,1,8\n")
+    write(stats, "replicate,M,D\n1,1,\n2,1,\n")
+    trees = tmp_path / "t.nwk"
+    # line 1 is blank; line 3 lacks its ';'
+    write(trees, f"\n{CHERRY}\n(1:1,2:1)\n")
+    inputs = ["--arrays", str(arrays)] if command == "stats" else ["--stats", str(stats)]
+    out = tmp_path / "out.csv"
+    assert run_cli(command, *inputs, "--trees", str(trees), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {trees}, line 3: Newick string must end with ';' (at position 9)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["arrays", "stats", "trees", "simulate"])
+def test_undecodable_bytes_name_their_file(tmp_path, capsys, bad):
+    files = {
+        "arrays": b"replicate,leaf,position,spacer\n1,1,1,7\n1,2,1,7\n",
+        "stats": b"replicate,M,D\n1,1,\n",
+        "trees": CHERRY.encode() + b"\n",
+    }
+    if bad in ("arrays", "stats"):
+        files[bad] = files[bad].replace(b"1,", b"\xff,", 1)
+    else:  # simulate reads a trees file's one Newick string as its tree
+        files["trees"] = b"(\xff:1,2:1);\n"
+    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    for name, data in files.items():
+        paths[name].write_bytes(data)
+    out = tmp_path / "out.csv"
+    if bad == "stats":
+        argv = ["estimate", "--stats", str(paths["stats"]), "--trees", str(paths["trees"])]
+    elif bad == "simulate":
+        argv = ["simulate", "--tree", str(paths["trees"]), "--theta", "1", "--rho", "1"]
+    else:
+        argv = ["stats", "--arrays", str(paths["arrays"]), "--trees", str(paths["trees"])]
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    named = paths["trees" if bad == "simulate" else bad]
+    assert err.startswith(f"error: {named}: ") and "can't decode byte 0xff" in err
+    assert not out.exists()
 
 
 def test_stats_rejects_arrays_without_replicates(tmp_path, capsys):

@@ -20,9 +20,9 @@ from spacerloss.likelihood import (
     triple_conditional_score,
     triple_gap_logpmf,
     triple_gap_pmf,
-    _exact_subset_probs,
 )
 from spacerloss.tree import (
+    fate_probs,
     mask_subset,
     p_exact_subset,
     parse_newick,
@@ -83,6 +83,22 @@ def test_pair_die_probs_sum_to_one(rho, T):
 @given(st.floats(0.01, 6.0), st.floats(0.5, 4.0), st.floats(0.05, 0.5))
 def test_triple_die_probs_sum_to_one(rho, T, Tp):
     assert sum(die_probs_triple(rho, T, Tp)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.7, 3.0])
+def test_die_probs_are_the_root_fate_table(rho):
+    # the closed forms against the one pass, in their class order
+    T, Tp = 1.3, 0.4
+    cases = [
+        (f"(1:{T},2:{T});", die_probs_pair(rho, T), [1, 2, 0, 3]),
+        (f"((1:{Tp},2:{Tp}):{T - Tp},3:{T});", die_probs_triple(rho, T, Tp),
+         [1, 2, 4, 3, 5, 6, 0, 7]),
+    ]
+    for newick, closed, order in cases:
+        t = parse_newick(newick)
+        masks, probs = fate_probs(t, rho)
+        table = dict(zip(masks[t.root].tolist(), probs[t.root].tolist()))
+        np.testing.assert_allclose(closed, [table[k] for k in order], rtol=1e-12, atol=0)
 
 
 def test_triple_die_probs_reject_bad_times():
@@ -401,7 +417,9 @@ def check_law_against_walks(t, rho, counts):
     leaves = t.leaves
     full = (1 << len(leaves)) - 1
     table = survival(t, rho)
-    probs = _exact_subset_probs(t, rho)
+    masks, node_probs = fate_probs(t, rho)
+    probs = np.zeros(full + 1)
+    probs[masks[t.root]] = node_probs[t.root]
     assert probs.shape == (full + 1,)
     assert probs[0] == pytest.approx(1.0 - table.p[t.root], rel=1e-12)
     assert probs[full] == pytest.approx(

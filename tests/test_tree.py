@@ -12,7 +12,10 @@ from spacerloss.tree import (
     UltrametricTree,
     coalescent_block,
     coalescent_tree,
+    fate_probs,
+    mask_subset,
     mrca,
+    new_spacer_means,
     newick_lines,
     p_exact_subset,
     parse_newick,
@@ -382,10 +385,47 @@ def test_mask_geometry_matches_path_walks(t, rho):
                 (1.0 - math.exp(-rho * t.length[w])) * ref_p_exact(t, rho, w, K, table)
                 for w in ref_path(t, v)[:-1]
             )
-            assert poisson_mean_new(t, 2.0, rho, K, table) == pytest.approx(
+            assert poisson_mean_new(t, 2.0, rho, K) == pytest.approx(
                 2.0 / rho * want, rel=1e-12, abs=1e-300
             )
             outside = [k for k in leaves if k not in K]
             if outside:
                 with pytest.raises(TreeError, match="not ancestral"):
                     spanning_length(t, t.leaf_ids[outside[0]], K)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ultrametric_trees(), st.floats(0.05, 5.0))
+def test_fate_tables_match_subset_walks_from_every_node(t, rho):
+    table = survival(t, rho)
+    masks, probs = fate_probs(t, rho)
+    for v in range(t.n_nodes):
+        below = t.below[v]
+        # each subset of the leaves below v once, mask 0 included
+        assert sorted(masks[v].tolist()) == [k for k in range(below + 1) if k & below == k]
+        assert math.fsum(probs[v].tolist()) == pytest.approx(1.0, abs=1e-12)
+        for k, p in zip(masks[v].tolist(), probs[v].tolist()):
+            if k:
+                want = p_exact_subset(t, rho, v, mask_subset(t.leaves, k), table)
+                assert p == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ultrametric_trees())
+def test_new_spacer_means_match_path_walks_where_survival_is_rare(t):
+    # at rho * height = 50 a spacer gained at the root survives with
+    # probability about e^{-50}: every mean is a product of rare factors
+    theta, rho = 3.0, 50.0 / t.height
+    table = survival(t, rho)
+    means = new_spacer_means(t, theta, rho)
+    full = (1 << len(t.leaves)) - 1
+    assert means.shape == (full + 1,)
+    assert means[full] == 0.0
+    for k in range(1, full):
+        K = mask_subset(t.leaves, k)
+        want = sum(
+            (1.0 - math.exp(-rho * t.length[w])) * ref_p_exact(t, rho, w, K, table)
+            for w in ref_path(t, ref_mrca(t, K))[:-1]
+        )
+        assert means[k] == pytest.approx(theta / rho * want, rel=1e-12, abs=1e-300)
+        assert poisson_mean_new(t, theta, rho, K) == means[k]
