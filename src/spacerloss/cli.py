@@ -19,6 +19,10 @@ results CSV  ``rho,replicate,rho_hat,ratio,skipped``.
 Exit codes: 0 success, 2 usage/input error, 3 validation failure.
 ``validate`` reports what :func:`spacerloss.validation.run_validation`
 computes.
+``stats`` and ``estimate`` check each replicate's tree in one pass, against
+the arrays' labels or the statistics' n leaves (2 or 3, from the stats
+header); ``estimate --arrays`` needs n arrays per replicate and writes
+theta_hat = rho_hat x spacers / n.  ``--T`` and ``--trees`` exclude each other.
 
 Determinism: ``simulate``, ``replicate-fig1`` and ``validate`` share one
 block rule (:func:`spacerloss.process.seeded_blocks`): they run blocks of
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equal_spacers, tree as treemod
-from .estimators import estimate_theta_moment, pair_mle, triple_mle
+from .estimators import pair_mle, theta_moment, triple_mle
 from .process import BLOCK, MAX_NODES, ModelParams, seeded_blocks, simulate_block
 from .tree import UltrametricTree, coalescent_block, newick_lines, parse_newick
 
@@ -371,9 +375,34 @@ def _read_trees(path: str, n_replicates: int):
     return tree_of
 
 
-# row o swaps leaf bits o and 2 of a triple's masks, so that an outgroup at
-# bit o moves to bit 2 and the cherry to bits 0 and 1, as in replicate-fig1
-_OUTGROUP_TO_BIT2 = np.array([[0, 4, 2, 6, 1, 5, 3, 7], [0, 1, 4, 5, 2, 3, 6, 7], list(range(8))])
+_STATS_HEADER = {2: ["replicate", "M", "D"], 3: ["replicate", "M", "D1", "D2", "D3", "D4"]}
+
+
+def _tree_times(tree_of, reps, n: int, labels=None, arrays_path=None):
+    """The one check of each replicate's tree, in replicate order: replicate
+    ``reps[i]``'s tree has the leaves ``labels[n * i:n * i + n]`` of
+    ``arrays_path`` where the arrays are known, and n leaves otherwise.
+    Returns the heights and, for n = 3, the cherry depths and outgroup leaf bits."""
+    height, depth, outgroup = [], [], []
+    for i, rep in enumerate(reps):
+        t = tree_of(rep)
+        if labels is not None and list(t.leaves) != labels[n * i:n * i + n]:  # label order
+            raise CliError(
+                f"leaf mismatch between files at replicate {rep}: {arrays_path} has "
+                f"leaves {labels[n * i:n * i + n]}, its tree {list(t.leaves)}"
+            )
+        if len(t.leaves) != n:
+            raise CliError(
+                f"replicate {rep}: {'pair' if n == 2 else 'triple'} statistics "
+                f"({','.join(_STATS_HEADER[n])}) need a {n}-leaf tree, "
+                f"but its tree has {len(t.leaves)} leaves"
+            )
+        height.append(t.height)
+        if n == 3:
+            f1, f2 = t.cherry()
+            depth.append(t.length[t.leaf_ids[f1]])
+            outgroup.append(3 - t.leaves.index(f1) - t.leaves.index(f2))
+    return height, depth, outgroup
 
 
 def cmd_stats(args) -> int:
@@ -392,14 +421,8 @@ def cmd_stats(args) -> int:
     # checked as a replicate-by-replicate pass would: trees first, then
     # repeats, stopping at the replicate of the first repeat
     stop = len(reps) if repeat < 0 else (np.searchsorted(starts, repeat, "right") - 1) // n
-    outgroup = []  # the leaf bit of each triple replicate's outgroup
-    for i, rep in enumerate(reps[:stop + 1].tolist() if tree_of else []):
-        t = tree_of(rep)
-        if list(t.leaves) != leaf[i * n:i * n + n]:  # both in label order
-            raise CliError(f"leaf mismatch between files at replicate {rep}")
-        if n == 3:
-            (f3,) = set(t.leaves) - set(t.cherry())
-            outgroup.append(t.leaves.index(f3))
+    if tree_of is not None:
+        *_, outgroup = _tree_times(tree_of, reps[:stop + 1].tolist(), n, leaf, args.arrays)
     if repeat >= 0:
         raise equal_spacers.duplicate_error(tokens, starts, leaf, repeat)
     # one count of replicate * 2^n + mask over the rows in gaps 1..m-1
@@ -407,21 +430,13 @@ def cmd_stats(args) -> int:
     rep_row = np.repeat(np.arange(len(reps)), np.diff(starts[::n], append=len(tokens)))
     key = rep_row[counted] << n | mask[counted].astype(np.intp)
     totals = np.bincount(key, minlength=len(reps) << n).reshape(len(reps), 1 << n)
-    if n == 2:
-        ds = equal_spacers.interior_statistics(totals)[:, None]
-    else:
-        totals = np.take_along_axis(totals, _OUTGROUP_TO_BIT2[outgroup], axis=1)
-        ds = equal_spacers.interior_statistics(totals, (1, 2))
+    ds = equal_spacers.interior_statistics(totals, outgroup if n == 3 else None)
     rows = [  # built before the output is opened: an input error leaves no file
         [rep, k] + (d if k >= 2 else [""] * len(d))
-        for rep, k, d in zip(reps.tolist(), m.tolist(), ds.tolist())
+        for rep, k, d in zip(reps.tolist(), m.tolist(), ds.reshape(len(reps), -1).tolist())
     ]
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["replicate", "M", "D"] if n == 2 else ["replicate", "M", "D1", "D2", "D3", "D4"]
-        )
-        writer.writerows(rows)
+        csv.writer(fh).writerows([_STATS_HEADER[n], *rows])
     return 0
 
 
@@ -438,25 +453,34 @@ def _report_flags(label: str, used: int, boundary: int, suspect: int) -> None:
     )
 
 
-def _times_from_tree(t: UltrametricTree) -> tuple[float, float | None]:
-    """(T, T') for a 2- or 3-leaf tree: T is the height, T' the cherry depth."""
-    if len(t.leaves) == 2:
-        return t.height, None
-    c1, _ = t.cherry()
-    return t.height, t.length[t.leaf_ids[c1]]
+def _replicate_arrays(path: str, reps, n: int):
+    """The leaf labels, n per replicate in label order, and the spacer total
+    of each replicate of ``reps``, read off the runs of :func:`_read_arrays`
+    of the arrays CSV ``path``; each must be there, with n arrays."""
+    tokens, starts, replicate, leaf = _read_arrays(path)
+    ids, first, arrays = np.unique(replicate, return_index=True, return_counts=True)
+    spacers = np.add.reduceat(np.diff(starts, append=len(tokens)), first)
+    at = np.searchsorted(ids, reps)
+    for rep, k in zip(reps, at.tolist()):
+        if k == ids.size or ids[k] != rep:
+            raise CliError(f"replicate {rep} is missing from {path}")
+        if arrays[k] != n:
+            raise CliError(
+                f"replicate {rep} has {arrays[k]} arrays in {path}, "
+                f"but {'pair' if n == 2 else 'triple'} statistics need {n}"
+            )
+    return [leaf[j] for k in first[at].tolist() for j in range(k, k + n)], spacers[at]
 
 
 def cmd_estimate(args) -> int:
     with _text_file(args.stats) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        is_pair = header == ["replicate", "M", "D"]
-        if not (is_pair or header == ["replicate", "M", "D1", "D2", "D3", "D4"]):
+        n = next((k for k, h in _STATS_HEADER.items() if h == header), None)
+        if n is None:
             raise CliError(f"unrecognized stats header {header}")
         rows = []  # (replicate, M, statistics or None when M < 2)
-        for row in reader:
-            if not row:
-                continue
+        for row in filter(None, reader):  # blank lines are skipped
             try:
                 if len(row) != len(header):
                     raise ValueError
@@ -467,63 +491,42 @@ def cmd_estimate(args) -> int:
             except ValueError:
                 raise _bad_row(args.stats, reader.line_num, header, row) from None
             rows.append((rep, m, ds))
-    if is_pair and args.Tprime is not None:
+    if n == 2 and args.Tprime is not None:
         raise CliError("--Tprime applies to triple statistics only")
-    n_leaves = 2 if is_pair else 3
+    if args.trees and (args.T, args.Tprime) != (None, None):
+        raise CliError(f"--T and --Tprime cannot be given with --trees {args.trees}")
+    if not args.trees and (args.T is None or n == 3 and args.Tprime is None):
+        raise CliError(f"need --trees or --T{'' if n == 2 else ' and --Tprime'}")
     reps = [rep for rep, _, _ in rows]
     tree_of = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
-    arrays = {} if args.arrays else None  # {replicate: {leaf: tokens}}
-    if args.arrays:
-        tokens, starts, replicate, leaf = _read_arrays(args.arrays)
-        for rep, lab, a, b in zip(replicate.tolist(), leaf, starts, [*starts[1:], len(tokens)]):
-            arrays.setdefault(rep, {})[lab] = tokens[a:b]
-    times = []  # (T, T') per row
-    for rep in reps:
-        if tree_of is not None:
-            t = tree_of(rep)
-            if len(t.leaves) != n_leaves:
-                raise CliError(
-                    f"replicate {rep}: {'pair' if is_pair else 'triple'} statistics "
-                    f"({','.join(header)}) need a {n_leaves}-leaf tree, "
-                    f"but its tree has {len(t.leaves)} leaves"
-                )
-            times.append(_times_from_tree(t))
-        elif args.T is None:
-            raise CliError("need --trees or --T")
-        else:
-            times.append((args.T, args.Tprime))
+    labels, spacers = _replicate_arrays(args.arrays, reps, n) if args.arrays else (None, None)
+    if tree_of is not None:  # every row's tree is checked, estimated or not
+        T, T_prime, _ = _tree_times(tree_of, reps, n, labels, args.arrays)
+    else:
+        T, T_prime = [args.T] * len(reps), [args.Tprime] * len(reps)
     # rows with M < 2 are written as skipped; the others are estimated in one call
     usable = [i for i, (_, m, _) in enumerate(rows) if m >= 2]
-    # columns M, then D or D1..D4
     stats = np.array([[rows[i][1], *rows[i][2]] for i in usable], dtype=np.int64)
-    stats = stats.reshape(-1, len(header) - 1)
-    T = [times[i][0] for i in usable]
-    if is_pair:
-        fit = pair_mle(stats[:, 0], stats[:, 1], T)
-    elif any(times[i][1] is None for i in usable):
-        raise CliError("triple estimation needs --Tprime or --trees")
-    else:
-        fit = triple_mle(stats[:, 0], stats[:, 1:], T, [times[i][1] for i in usable])
-    missing = [rep for rep in reps if arrays is not None and rep not in arrays]
-    if missing:  # estimated or not, every replicate needs its arrays
-        raise CliError(f"replicate {missing[0]} is missing from {args.arrays}")
-    fitted = zip(fit.rho_hat.tolist(), fit.loglik.tolist(), fit.boundary.tolist())
-    out = []  # built before the output is opened: an input error leaves no file
-    for rep, m, _ in rows:
-        if m < 2:
-            out.append([rep, "", "", "", "", "M<2"])
-            continue
-        rho_hat, loglik, boundary = next(fitted)
-        theta = ""
-        if arrays is not None and rho_hat > 0:
-            theta = _fmt(estimate_theta_moment(rho_hat, arrays[rep]))
-        out.append([rep, _fmt(rho_hat), theta, _fmt(loglik), str(boundary).lower(), ""])
+    stats = stats.reshape(-1, len(header) - 1)  # columns M, then D or D1..D4
+    T = [T[i] for i in usable]
+    fit = pair_mle(stats[:, 0], stats[:, 1], T) if n == 2 else triple_mle(
+        stats[:, 0], stats[:, 1:], T, [T_prime[i] for i in usable]
+    )
+    theta = np.full(len(usable), np.nan)  # NaN: no theta_hat
+    if spacers is not None:
+        pos = fit.rho_hat > 0
+        theta[pos] = theta_moment(fit.rho_hat[pos], spacers[usable][pos], n)
+    fitted = zip(fit.rho_hat.tolist(), theta.tolist(), fit.loglik.tolist(), fit.boundary.tolist())
+    fitted = (
+        [_fmt(rho_hat), "" if math.isnan(th) else _fmt(th), _fmt(loglik), str(b).lower(), ""]
+        for rho_hat, th, loglik, b in fitted
+    )
+    # built before the output is opened: an input error leaves no file
+    out = [[rep, *(["", "", "", "", "M<2"] if m < 2 else next(fitted))] for rep, m, _ in rows]
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["replicate", "rho_hat", "theta_hat", "loglik", "boundary", "skipped_reason"]
+        csv.writer(fh).writerows(
+            [["replicate", "rho_hat", "theta_hat", "loglik", "boundary", "skipped_reason"], *out]
         )
-        writer.writerows(out)
     _report_flags(
         args.stats, len(usable), int(fit.boundary.sum()), int(fit.multimodal_suspect.sum())
     )
@@ -589,8 +592,8 @@ def _fig1_block(n: int, rho: float, theta_factor: float, rng, count: int):
     if n == 2:
         fit = pair_mle(m[used], equal_spacers.interior_statistics(totals[used]), height[used])
     else:
-        # leaf bits 1 and 2 stand for the cherry leaves 1 and 2
-        ds = equal_spacers.interior_statistics(totals[used], (1, 2))
+        # leaf 3, at bit 2, is the outgroup
+        ds = equal_spacers.interior_statistics(totals[used], 2)
         fit = triple_mle(m[used], ds, height[used], epochs[used, 0])
     rho_hat[used], boundary[used], suspect[used] = fit.rho_hat, fit.boundary, fit.multimodal_suspect
     return rho_hat, boundary, suspect

@@ -183,20 +183,18 @@ def interior_totals(fates: np.ndarray, n_leaves: int) -> tuple[np.ndarray, np.nd
     return m, np.stack(totals, axis=1)
 
 
-def interior_statistics(totals, cherry_bits=None) -> np.ndarray:
-    """D of a pair, or D1..D4 of a triple stacked in the last axis, from
-    ``totals[..., k]``, the interior spacers held by exactly leaf mask k
-    (see :func:`interior_totals`); ``cherry_bits`` are the leaf bits of a
-    triple's cherry f1, f2, see :class:`TripleStats`."""
+def interior_statistics(totals, outgroup=None) -> np.ndarray:
+    """D of a pair, or D1..D4 of a triple stacked in the last axis (see
+    :class:`TripleStats`), from ``totals[..., k]``, the interior spacers held
+    by exactly leaf mask k (see :func:`interior_totals`); ``outgroup`` is a
+    triple's outgroup leaf bit, one for all rows or one per row."""
     t = np.asarray(totals)
-    if cherry_bits is None:
+    if outgroup is None:
         return t[..., 1] + t[..., 2]
-    b1, b2 = cherry_bits
-    b3 = 7 ^ b1 ^ b2
-    return np.stack(
-        [t[..., b1] + t[..., b2], t[..., b3], t[..., b1 | b2], t[..., b1 | b3] + t[..., b2 | b3]],
-        axis=-1,
-    )
+    f3 = np.broadcast_to(np.left_shift(1, outgroup), t.shape[:-1])[..., None]  # its mask
+    d2, d3 = (np.take_along_axis(t, k, axis=-1)[..., 0] for k in (f3, 7 ^ f3))  # 7 ^ f3: the cherry
+    # D1 and D4: the one-leaf and two-leaf totals but the outgroup's and the cherry's
+    return np.stack([t[..., [1, 2, 4]].sum(-1) - d2, d2, d3, t[..., [3, 5, 6]].sum(-1) - d3], -1)
 
 
 @dataclass(frozen=True)
@@ -251,12 +249,10 @@ def triple_stats(arrays: Arrays, cherry: tuple[str, str]) -> TripleStats:
     must come from the tree topology, never from the arrays."""
     if len(arrays) != 3:
         raise ValueError("triple_stats requires exactly 3 leaf arrays")
-    f1, f2 = cherry
-    (_,) = set(arrays) - {f1, f2}  # the cherry is two distinct leaves of the three
+    (f3,) = set(arrays) - set(cherry)  # the cherry is two distinct leaves of the three
     leaves, _, m, mask, gap = _one_row(arrays)
     if m < 2:
         return TripleStats(m=m, d1=None, d2=None, d3=None, d4=None)
     totals = np.bincount(mask[gap >= 1].astype(np.intp), minlength=8)
-    bits = (subset_mask(leaves, {f1}), subset_mask(leaves, {f2}))
-    d1, d2, d3, d4 = interior_statistics(totals, bits).tolist()
+    d1, d2, d3, d4 = interior_statistics(totals, leaves.index(f3)).tolist()
     return TripleStats(m=m, d1=d1, d2=d2, d3=d3, d4=d4)

@@ -34,6 +34,7 @@ __all__ = [
     "Fit",
     "negbin_p_mle",
     "pair_mle",
+    "theta_moment",
     "triple_mle",
     "TRIPLE_BRACKET_LOW",
 ]
@@ -250,12 +251,16 @@ def estimate_rho_triple(
     return fit.first_row("triple-numeric", diagnostics)
 
 
-def estimate_theta_moment(rho_hat: float, arrays: Mapping[str, Sequence]) -> float:
-    """Moment estimate of the gain rate: rho_hat times the mean array
-    length over leaves (the equilibrium mean length is theta/rho)."""
-    if not rho_hat > 0:
+def theta_moment(rho_hat, spacers, n_arrays: int) -> np.ndarray:
+    """Moment estimates of the gain rate of a batch of replicates of
+    ``n_arrays`` arrays holding ``spacers`` spacers in all: rho_hat times
+    the mean array length (the equilibrium mean length is theta/rho)."""
+    if not np.all(np.asarray(rho_hat) > 0):
         raise ValueError("rho_hat must be positive")
-    if not arrays:
-        return 0.0
-    mean_len = sum(len(a) for a in arrays.values()) / len(arrays)
-    return rho_hat * mean_len
+    return rho_hat * (np.asarray(spacers) / n_arrays)
+
+
+def estimate_theta_moment(rho_hat: float, arrays: Mapping[str, Sequence]) -> float:
+    """The one-row view of :func:`theta_moment`; no arrays estimate 0."""
+    theta = theta_moment(rho_hat, sum(len(a) for a in arrays.values()), len(arrays) or 1)
+    return float(theta) if arrays else 0.0

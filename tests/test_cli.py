@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -231,7 +232,9 @@ def test_stats_reports_the_first_failing_replicate(
     ))
     out = tmp_path / "s.csv"
     assert run_cli("stats", "--arrays", str(arrays), "--trees", str(trees), "--out", str(out)) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # a leaf mismatch goes on to name the arrays file and both label lists
+    detail = f": {arrays} has leaves ['1', '2'], its tree ['1', '3']" if "leaf" in message else ""
+    assert capsys.readouterr().err == f"error: {message}{detail}\n"
     assert not out.exists()
 
 
@@ -1067,6 +1070,168 @@ def test_estimate_checks_every_replicate_against_the_arrays(tmp_path, capsys, fi
     ) == 2
     assert capsys.readouterr().err == f"error: replicate 1 is missing from {arrays}\n"
     assert not out.exists()
+
+
+# each exited 0 with a wrong theta_hat, or with the arrays unchecked
+# against --trees, before estimate read the arrays' runs
+@pytest.mark.parametrize("stats_text, arrays_rows, tree, message", [
+    # one leaf: theta_hat was rho_hat x 4 / 1
+    ("replicate,M,D\n1,3,2\n", {"1": (5, 6, 7, 8)}, None,
+     "replicate 1 has 1 arrays in {arrays}, but pair statistics need 2"),
+    ("replicate,M,D\n1,3,2\n", {k: (5, 6, 7, 8) for k in "1234"}, None,
+     "replicate 1 has 4 arrays in {arrays}, but pair statistics need 2"),
+    # stats rejects the same two files
+    ("replicate,M,D\n1,3,2\n", {"a": (5, 6, 7), "b": (5, 6, 8, 7)}, CHERRY,
+     "leaf mismatch between files at replicate 1: {arrays} has leaves ['a', 'b'], "
+     "its tree ['1', '2']"),
+    # theta_hat was averaged over two leaves
+    ("replicate,M,D1,D2,D3,D4\n1,3,1,0,0,1\n", {"1": (5, 6, 7), "2": (5, 6, 7)},
+     "((1:0.5,2:0.5):0.5,3:1);",
+     "replicate 1 has 2 arrays in {arrays}, but triple statistics need 3"),
+], ids=["one-leaf", "four-leaves", "labels-not-the-trees", "triple-on-two-leaves"])
+def test_estimate_rejects_arrays_that_do_not_fit_the_statistics(
+    tmp_path, capsys, stats_text, arrays_rows, tree, message
+):
+    stats, arrays, out = tmp_path / "stats.csv", tmp_path / "arrays.csv", tmp_path / "e.csv"
+    write(stats, stats_text)
+    write(arrays, "replicate,leaf,position,spacer\n" + "".join(
+        f"1,{leaf},{pos},{token}\n"
+        for leaf, tokens in arrays_rows.items() for pos, token in enumerate(tokens, 1)
+    ))
+    times = ["--T", "1"]
+    if tree is not None:
+        write(tmp_path / "t.nwk", tree + "\n")
+        times = ["--trees", str(tmp_path / "t.nwk")]
+    assert run_cli(
+        "estimate", "--stats", str(stats), *times, "--arrays", str(arrays), "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err == f"error: {message.format(arrays=arrays)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stats_text, tree, times", [
+    # --T 5 was dropped: rho_hat 0.405 from the tree's T = 1, not 0.0811
+    ("replicate,M,D\n1,3,2\n", CHERRY, ["--T", "5"]),
+    ("replicate,M,D1,D2,D3,D4\n1,3,1,0,0,1\n", TRIPLE, ["--Tprime", "0.2"]),
+    ("replicate,M,D1,D2,D3,D4\n1,3,1,0,0,1\n", TRIPLE, ["--T", "2", "--Tprime", "0.2"]),
+], ids=["pair-T", "triple-Tprime", "triple-T-Tprime"])
+def test_estimate_rejects_times_given_with_trees(tmp_path, capsys, stats_text, tree, times):
+    stats, trees, out = tmp_path / "stats.csv", tmp_path / "t.nwk", tmp_path / "e.csv"
+    write(stats, stats_text)
+    write(trees, tree + "\n")
+    assert run_cli(
+        "estimate", "--stats", str(stats), "--trees", str(trees), *times, "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err == (
+        f"error: --T and --Tprime cannot be given with --trees {trees}\n"
+    )
+    assert not out.exists()
+
+
+# the fuzz test's edits: times, fields and trees lines
+FUZZ_TIMES = ["nan", "inf", "0", "-1", "1e-317", "0.5", "1", "2"]
+FUZZ_FIELDS = ["", "0", "-1", "1", "2", "7", "9", "x", "1.5", "9223372036854775808", "1_0", " 2"]
+FUZZ_TREES = [
+    CHERRY, TRIPLE, "(a:1,b:1);", "(1:1,2:1)", "((1:0,2:0):1,3:1);", "(1:1,2:2);",
+    "(1:1,(2:0.5,3:0.5):0.5);", "(1:1,2:1,3:1);", "(1:1e308,2:1e308);", "",
+]
+
+
+def _fuzz_lines(rng, lines, kind):
+    """``lines`` (a header first) with up to two random edits of one of its
+    rows: deleted, repeated, a field or a tree replaced, a field added or,
+    in an arrays file, every row of one (replicate, leaf) deleted or
+    relabelled."""
+    lines = list(lines)
+    for _ in range(rng.randrange(3)):
+        if len(lines) < 2:
+            break
+        i = rng.randrange(1, len(lines))
+        edit = rng.choice(["delete", "repeat", "field", "extra"] + ["leaf"] * (kind == "arrays"))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "trees" and edit in ("field", "extra"):
+            lines[i] = rng.choice(FUZZ_TREES)
+        elif edit == "field":
+            cells = lines[i].split(",")
+            cells[rng.randrange(len(cells))] = rng.choice(FUZZ_FIELDS)
+            lines[i] = ",".join(cells)
+        elif edit == "extra":
+            lines[i] += ",1"
+        else:  # one (replicate, leaf)'s rows, deleted or relabelled
+            rep, leaf = lines[i].split(",")[:2]
+            head, label = f"{rep},{leaf},", rng.choice([None, "9", "a"])
+            lines = [
+                ln if not ln.startswith(head) else f"{rep},{label},{ln[len(head):]}"
+                for ln in lines if label or not ln.startswith(head)
+            ]
+    return lines
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The arrays, trees and stats lines of small coalescent:2 and
+    coalescent:3 runs."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    inputs = {}
+    for n in (2, 3):
+        arrays, stats = tmp / f"a{n}.csv", tmp / f"st{n}.csv"
+        assert run_cli(
+            "simulate", "--tree", f"coalescent:{n}", "--theta", "12", "--rho", "1",
+            "--replicates", "4", "--seed", "5", "--out", str(arrays),
+        ) == 0
+        assert run_cli(
+            "stats", "--arrays", str(arrays), "--trees", f"{arrays}.trees", "--out", str(stats),
+        ) == 0
+        inputs[n] = {
+            kind: read_lines(path)
+            for kind, path in (("arrays", arrays), ("trees", f"{arrays}.trees"), ("stats", stats))
+        }
+    return inputs
+
+
+def test_stats_and_estimate_exit_0_or_2_on_fuzzed_input(tmp_path, capsys, fuzz_inputs):
+    # no exception escapes main, an exit 2 leaves no file and says why, and
+    # each theta_hat is rho_hat x spacers / n over its replicate's n arrays
+    rng = random.Random(20240517)
+    estimated = 0
+    for case in range(200):
+        n = rng.choice((2, 3))
+        files = {kind: tmp_path / f"{case}.{kind}" for kind in fuzz_inputs[n]}
+        for kind, lines in fuzz_inputs[n].items():
+            edited = _fuzz_lines(rng, lines, kind) if rng.random() < 0.4 else lines
+            write(files[kind], "\n".join(edited) + "\n")
+        trees = ["--trees", str(files["trees"])] if rng.random() < 0.5 else []
+        arrays = ["--arrays", str(files["arrays"])] if rng.random() < 0.8 else []
+        if rng.random() < 0.3:
+            argv = ["stats", "--arrays", str(files["arrays"]), *trees]
+        else:
+            argv = ["estimate", "--stats", str(files["stats"]), *trees, *arrays]
+            # mostly times where the statistics need them, an edited one at times
+            if not (trees and rng.random() < 0.8):
+                argv += ["--T", rng.choice(FUZZ_TIMES) if rng.random() < 0.3 else "1.5"]
+            if n == 3 and not trees or rng.random() < 0.1:
+                argv += ["--Tprime", rng.choice(FUZZ_TIMES) if rng.random() < 0.3 else "0.5"]
+        out = tmp_path / f"{case}.out.csv"
+        code = run_cli(*argv, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code in (0, 2), argv
+        if code == 2:
+            assert err.startswith("error: ") and not out.exists(), (argv, err)
+            continue
+        if argv[0] == "stats" or not arrays:
+            continue
+        estimated += 1
+        rows = read_rows(files["arrays"])[1:]
+        for row in read_rows(out)[1:]:
+            rep, rho_hat, theta_hat = int(row[0]), row[1], row[2]
+            assert (theta_hat != "") == (rho_hat not in ("", "0")), (argv, row)
+            if theta_hat:
+                spacers = sum(1 for r in rows if r and int(r[0]) == rep)
+                assert float(theta_hat) == pytest.approx(float(rho_hat) * spacers / n, rel=1e-10)
+    assert estimated >= 40  # the theta_hat check ran
 
 
 def test_simulate_on_deep_caterpillar(tmp_path):

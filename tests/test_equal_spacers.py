@@ -1,11 +1,13 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spacerloss.equal_spacers import (
     equal_indices,
     gap_decomposition,
+    interior_statistics,
     pair_stats,
     triple_stats,
 )
@@ -277,3 +279,20 @@ def test_membership_pass_matches_reference(arrays, data):
     if len(arrays) == 3:
         st_ = triple_stats(arrays, cherry)
         assert (st_.m, st_.d1, st_.d2, st_.d3, st_.d4) == _reference_triple(arrays, cherry)
+
+
+def test_interior_statistics_takes_one_outgroup_bit_per_row():
+    rng = np.random.default_rng(5)
+    totals = rng.integers(0, 50, (30, 8))
+    outgroup = rng.integers(0, 3, 30)
+    want = []
+    for row, o in zip(totals, outgroup.tolist()):
+        f3 = 1 << o
+        c1, c2 = (1 << b for b in range(3) if b != o)
+        want.append([row[c1] + row[c2], row[f3], row[c1 | c2], row[c1 | f3] + row[c2 | f3]])
+    assert interior_statistics(totals, outgroup).tolist() == want
+    # one bit for all rows, and one row with its own bit
+    assert interior_statistics(totals, 1).tolist() == interior_statistics(
+        totals, np.ones(30, dtype=int)
+    ).tolist()
+    assert [interior_statistics(row, o).tolist() for row, o in zip(totals, outgroup)] == want

@@ -14,6 +14,7 @@ from spacerloss.estimators import (
     estimate_theta_moment,
     negbin_p_mle,
     pair_mle,
+    theta_moment,
     triple_mle,
 )
 from spacerloss.likelihood import (
@@ -320,3 +321,14 @@ def test_theta_moment():
     assert estimate_theta_moment(1.0, {}) == 0.0
     with pytest.raises(ValueError):
         estimate_theta_moment(0.0, arrays)
+
+
+def test_theta_moment_rows_are_the_one_row_view():
+    rho_hat = np.array([0.5, 1.3, 2.0 / 3.0])
+    spacers = np.array([200, 37, 1001])
+    arrays = [{"a": range(k // 2), "b": range(k - k // 2)} for k in spacers.tolist()]
+    assert theta_moment(rho_hat, spacers, 2).tolist() == [
+        estimate_theta_moment(r, a) for r, a in zip(rho_hat.tolist(), arrays)
+    ]
+    with pytest.raises(ValueError, match="rho_hat must be positive"):
+        theta_moment([1.0, 0.0], [3, 4], 2)
