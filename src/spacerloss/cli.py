@@ -10,10 +10,11 @@ arrays CSV   header ``replicate,leaf,position,spacer``; positions are
              is rejected.
 trees file   one Newick string per line; line i belongs to replicate i.
              A single line means all replicates share that tree.
-stats CSV    n=2: ``replicate,M,D``; n=3: ``replicate,M,D1,D2,D3,D4``.
-             Fields are int64s under the arrays CSV's rule.  Statistics
-             are empty fields when M < 2; a row of another field count
-             than the header is rejected.
+stats CSV    n=2: ``replicate,M,D``; n=3: ``replicate,M,D1,D2,D3,D4``;
+             one row per replicate.  Fields are int64s under the arrays
+             CSV's rule.  Statistics are empty fields when M < 2; a row
+             of another field count than the header, or of a replicate
+             already read, is rejected.
 results CSV  ``rho,replicate,rho_hat,ratio,skipped``.
 
 Exit codes: 0 success, 2 usage/input error, 3 validation failure.
@@ -23,6 +24,7 @@ computes.
 the arrays' labels or the statistics' n leaves (2 or 3, from the stats
 header); ``estimate --arrays`` needs n arrays per replicate and writes
 theta_hat = rho_hat x spacers / n.  ``--T`` and ``--trees`` exclude each other.
+Every command that writes files writes them through :func:`_committed`.
 
 Determinism: ``simulate``, ``replicate-fig1`` and ``validate`` share one
 block rule (:func:`spacerloss.process.seeded_blocks`): they run blocks of
@@ -113,7 +115,7 @@ def _committed(paths):
     """Write files to ``paths`` all or none: yields a handle on a temporary
     file beside each path and, once the block completes, checks every
     destination, then renames each temporary onto its path.  On an error
-    the temporaries are removed, so no path is created or replaced."""
+    the temporaries are removed, and an OSError on one names its destination."""
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
         with ExitStack() as stack:
@@ -123,6 +125,11 @@ def _committed(paths):
                 raise CliError(f"cannot write {path}: it is a directory")
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
+    except OSError as exc:  # a failed write names no file
+        if exc.filename not in (None, *temps):
+            raise  # an input file read inside the block
+        named = " or ".join(p for t, p in zip(temps, paths) if exc.filename in (None, t))
+        raise CliError(f"cannot write {named}: {exc.strerror or exc}") from None
     finally:
         for temp in filter(os.path.exists, temps):
             os.remove(temp)
@@ -431,12 +438,11 @@ def cmd_stats(args) -> int:
     key = rep_row[counted] << n | mask[counted].astype(np.intp)
     totals = np.bincount(key, minlength=len(reps) << n).reshape(len(reps), 1 << n)
     ds = equal_spacers.interior_statistics(totals, outgroup if n == 3 else None)
-    rows = [  # built before the output is opened: an input error leaves no file
-        [rep, k] + (d if k >= 2 else [""] * len(d))
-        for rep, k, d in zip(reps.tolist(), m.tolist(), ds.reshape(len(reps), -1).tolist())
-    ]
-    with open(args.out, "w", newline="") as fh:
-        csv.writer(fh).writerows([_STATS_HEADER[n], *rows])
+    with _committed((args.out,)) as (fh,):
+        csv.writer(fh).writerows([_STATS_HEADER[n], *(
+            [rep, k] + (d if k >= 2 else [""] * len(d))
+            for rep, k, d in zip(reps.tolist(), m.tolist(), ds.reshape(len(reps), -1).tolist())
+        )])
     return 0
 
 
@@ -472,64 +478,71 @@ def _replicate_arrays(path: str, reps, n: int):
     return [leaf[j] for k in first[at].tolist() for j in range(k, k + n)], spacers[at]
 
 
-def cmd_estimate(args) -> int:
-    with _text_file(args.stats) as fh:
+_ESTIMATE_HEADER = ["replicate", "rho_hat", "theta_hat", "loglik", "boundary", "skipped_reason"]
+
+
+def _read_stats(path: str) -> tuple[int, np.ndarray]:
+    """A stats CSV parsed once: n from its header and an int64 table with
+    columns replicate, M, then D or D1..D4, the statistics 0 where M < 2.
+    A replicate has one row."""
+    with _text_file(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         n = next((k for k, h in _STATS_HEADER.items() if h == header), None)
         if n is None:
             raise CliError(f"unrecognized stats header {header}")
-        rows = []  # (replicate, M, statistics or None when M < 2)
+        table, line_of = [], {}  # line_of: the line of each replicate's row
         for row in filter(None, reader):  # blank lines are skipped
             try:
                 if len(row) != len(header):
                     raise ValueError
-                rep, m = _int64(row[0]), _int64(row[1])
-                # statistics are empty exactly when M < 2
+                m = _int64(row[1])
+                # statistics are empty exactly when M < 2; they read as 0
                 empty = m < 2 and all(x == "" for x in row[2:])
-                ds = None if empty else [_int64(x) for x in row[2:]]
+                table.append([_int64(row[0]), m, *(0 if empty else _int64(x) for x in row[2:])])
             except ValueError:
-                raise _bad_row(args.stats, reader.line_num, header, row) from None
-            rows.append((rep, m, ds))
+                raise _bad_row(path, reader.line_num, header, row) from None
+            rep = table[-1][0]
+            if line_of.setdefault(rep, reader.line_num) != reader.line_num:
+                raise CliError(
+                    f"{path}, line {reader.line_num}: replicate {rep} already has "
+                    f"a row on line {line_of[rep]}"
+                )
+    return n, np.array(table, dtype=np.int64).reshape(-1, len(header))
+
+
+def cmd_estimate(args) -> int:
+    n, table = _read_stats(args.stats)
     if n == 2 and args.Tprime is not None:
         raise CliError("--Tprime applies to triple statistics only")
     if args.trees and (args.T, args.Tprime) != (None, None):
         raise CliError(f"--T and --Tprime cannot be given with --trees {args.trees}")
     if not args.trees and (args.T is None or n == 3 and args.Tprime is None):
         raise CliError(f"need --trees or --T{'' if n == 2 else ' and --Tprime'}")
-    reps = [rep for rep, _, _ in rows]
+    reps = table[:, 0].tolist()
     tree_of = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
     labels, spacers = _replicate_arrays(args.arrays, reps, n) if args.arrays else (None, None)
     if tree_of is not None:  # every row's tree is checked, estimated or not
-        T, T_prime, _ = _tree_times(tree_of, reps, n, labels, args.arrays)
+        T, T_prime, _ = map(np.array, _tree_times(tree_of, reps, n, labels, args.arrays))
     else:
-        T, T_prime = [args.T] * len(reps), [args.Tprime] * len(reps)
-    # rows with M < 2 are written as skipped; the others are estimated in one call
-    usable = [i for i, (_, m, _) in enumerate(rows) if m >= 2]
-    stats = np.array([[rows[i][1], *rows[i][2]] for i in usable], dtype=np.int64)
-    stats = stats.reshape(-1, len(header) - 1)  # columns M, then D or D1..D4
-    T = [T[i] for i in usable]
-    fit = pair_mle(stats[:, 0], stats[:, 1], T) if n == 2 else triple_mle(
-        stats[:, 0], stats[:, 1:], T, [T_prime[i] for i in usable]
-    )
-    theta = np.full(len(usable), np.nan)  # NaN: no theta_hat
+        T, T_prime = np.full(len(reps), args.T), np.full(len(reps), args.Tprime)
+    used = table[:, 1] >= 2  # rows with M < 2 are skipped; the others estimated in one call
+    m, d = table[used, 1], table[used, 2:]
+    fit = pair_mle(m, d[:, 0], T[used]) if n == 2 else triple_mle(m, d, T[used], T_prime[used])
+    rho_hat, theta, loglik, boundary = np.full((4, len(reps)), np.nan)  # NaN: no value
+    rho_hat[used], loglik[used], boundary[used] = fit.rho_hat, fit.loglik, fit.boundary
     if spacers is not None:
-        pos = fit.rho_hat > 0
-        theta[pos] = theta_moment(fit.rho_hat[pos], spacers[usable][pos], n)
-    fitted = zip(fit.rho_hat.tolist(), theta.tolist(), fit.loglik.tolist(), fit.boundary.tolist())
-    fitted = (
-        [_fmt(rho_hat), "" if math.isnan(th) else _fmt(th), _fmt(loglik), str(b).lower(), ""]
-        for rho_hat, th, loglik, b in fitted
-    )
-    # built before the output is opened: an input error leaves no file
-    out = [[rep, *(["", "", "", "", "M<2"] if m < 2 else next(fitted))] for rep, m, _ in rows]
-    with open(args.out, "w", newline="") as fh:
-        csv.writer(fh).writerows(
-            [["replicate", "rho_hat", "theta_hat", "loglik", "boundary", "skipped_reason"], *out]
-        )
-    _report_flags(
-        args.stats, len(usable), int(fit.boundary.sum()), int(fit.multimodal_suspect.sum())
-    )
+        pos = rho_hat > 0
+        theta[pos] = theta_moment(rho_hat[pos], spacers[pos], n)
+    with _committed((args.out,)) as (fh,):
+        csv.writer(fh).writerows([_ESTIMATE_HEADER, *(
+            [rep, _fmt(r), "" if math.isnan(th) else _fmt(th), _fmt(ll), str(bool(b)).lower(), ""]
+            if ok else [rep, "", "", "", "", "M<2"]
+            for rep, ok, r, th, ll, b in zip(
+                reps, used.tolist(), *(c.tolist() for c in (rho_hat, theta, loglik, boundary))
+            )
+        )])
+    _report_flags(args.stats, used.sum(), fit.boundary.sum(), fit.multimodal_suspect.sum())
     return 0
 
 

@@ -92,7 +92,9 @@ def chisquare_from_counts(observed: dict, probs: dict, total: int, min_expected=
         exp.append(pool_e)
     if len(exp) < 2:  # no degrees of freedom: the p-value would be NaN
         raise ValueError(
-            f"{total} trials had M >= 2, too few for a chi-square; raise --trials or theta/rho"
+            f"{total} trials had M >= 2 and their first gaps fell into fewer than two cells "
+            f"of expected count >= {min_expected:g}, too few for a chi-square; "
+            "raise rho*T, --trials or theta/rho"
         )
     exp = np.asarray(exp, dtype=float)
     exp *= total / exp.sum()

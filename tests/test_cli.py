@@ -531,6 +531,57 @@ def test_validate_rejects_zero_times(capsys, times, message):
     assert f"error: {message}\n" == capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, used", [
+    (("--rho", "1", "--theta", "10", "--T", "1e-320"), 998),
+    (("--rho", "1e-320", "--theta", "1e-320", "--T", "0.7"), 251),
+])
+def test_validate_names_rho_t_when_the_first_gaps_fill_one_cell(capsys, params, used):
+    # rho*T underflows, so every first gap is 0: more trials would not help,
+    # and the message blamed only --trials and theta/rho
+    assert run_cli("validate", *params, "--trials", "1000") == 2
+    assert capsys.readouterr().err == (
+        f"error: {used} trials had M >= 2 and their first gaps fell into fewer than two "
+        "cells of expected count >= 5, too few for a chi-square; "
+        "raise rho*T, --trials or theta/rho\n"
+    )
+
+
+# exit-2 branches of main that no other test reaches: (argv, files written
+# to the working directory first, stderr)
+ARRAYS_BAD_HEADER = "replicate,leaf,pos,spacer\n1,1,1,7\n"
+STATS_PAIR, STATS_TRIPLE = "replicate,M,D\n1,3,2\n", "replicate,M,D1,D2,D3,D4\n1,3,1,0,0,1\n"
+
+
+@pytest.mark.parametrize("argv, files, err", [
+    (["stats", "--arrays", "a.csv", "--out", "o.csv"], {"a.csv": ARRAYS_BAD_HEADER},
+     "unexpected arrays header in a.csv: ['replicate', 'leaf', 'pos', 'spacer']"),
+    (["estimate", "--stats", "st.csv", "--T", "1", "--out", "o.csv"],
+     {"st.csv": "replicate,M\n1,3\n"}, "unrecognized stats header ['replicate', 'M']"),
+    (["estimate", "--stats", "st.csv", "--out", "o.csv"], {"st.csv": STATS_PAIR},
+     "need --trees or --T"),
+    (["estimate", "--stats", "st.csv", "--T", "1", "--out", "o.csv"], {"st.csv": STATS_TRIPLE},
+     "need --trees or --T and --Tprime"),
+    (["simulate", "--tree", "coalescent:x", "--theta", "1", "--rho", "1", "--out", "o.csv"], {},
+     "invalid tree source 'coalescent:x'"),
+    (["simulate", "--tree", "coalescent:1", "--theta", "1", "--rho", "1", "--out", "o.csv"], {},
+     "coalescent sample size must be >= 2"),
+    (["replicate-fig1", "--n", "2", "--replicates", "0", "--out", "o.csv"], {},
+     "replicate count must be >= 1"),
+    (["validate", "--rho", "1", "--theta", "10", "--T", "1", "--Tprime", "1", "--trials", "1000"],
+     {}, "need T > Tprime for a three-leaf tree"),
+], ids=[
+    "arrays-header", "stats-header", "pair-without-times", "triple-without-tprime",
+    "coalescent-x", "coalescent-1", "fig1-no-replicates", "validate-tprime-equals-t",
+])
+def test_input_errors_exit_2_with_their_message(tmp_path, monkeypatch, capsys, argv, files, err):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
 def test_estimate_rejects_moments_method(tmp_path):
     stats = tmp_path / "stats.csv"
     write(stats, "replicate,M,D\n1,5,3\n")
@@ -879,6 +930,73 @@ def test_an_output_that_is_a_directory_leaves_every_output_as_it_was(
         assert (tmp_path / out).read_bytes() == b"kept\r\n"
 
 
+# every command that writes files takes them from one argument list: the
+# inputs a small run of each needs, written to the working directory
+OUTPUT_RUNS = {
+    "simulate": ["simulate", "--tree", "coalescent:2", "--theta", "5", "--rho", "1"],
+    "stats": ["stats", "--arrays", "a.csv"],
+    "estimate": ["estimate", "--stats", "st.csv", "--T", "1"],
+}
+
+
+def _write_output_run_inputs(directory):
+    write(directory / "a.csv", "replicate,leaf,position,spacer\n1,1,1,7\n1,2,1,7\n")
+    write(directory / "st.csv", "replicate,M,D\n1,1,\n")
+    return sorted(p.name for p in directory.iterdir())
+
+
+@pytest.mark.parametrize("command", ["stats", "estimate"])
+def test_stats_and_estimate_do_not_write_over_a_directory(tmp_path, monkeypatch, capsys, command):
+    # the output is refused as simulate's is, and no temporary is left beside it
+    monkeypatch.chdir(tmp_path)
+    inputs = _write_output_run_inputs(tmp_path)
+    (tmp_path / "d").mkdir()
+    assert run_cli(*OUTPUT_RUNS[command], "--out", "d") == 2
+    assert capsys.readouterr().err == "error: cannot write d: it is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs + ["d"])
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "stats", "estimate"])
+def test_an_output_in_a_missing_directory_is_named_as_given(
+    tmp_path, monkeypatch, capsys, command
+):
+    # simulate named its temporary, nodir/x.csv.<pid>.tmp
+    monkeypatch.chdir(tmp_path)
+    inputs = _write_output_run_inputs(tmp_path)
+    assert run_cli(*OUTPUT_RUNS[command], "--out", "nodir/x.csv") == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write nodir/x.csv: No such file or directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("command, named", [
+    ("simulate", "x.csv or x.csv.trees"), ("stats", "x.csv"), ("estimate", "x.csv"),
+])
+def test_a_failed_write_names_the_outputs(tmp_path, monkeypatch, capsys, command, named):
+    # a write error carries no file name: the message names the destinations
+    monkeypatch.chdir(tmp_path)
+    inputs = _write_output_run_inputs(tmp_path)
+
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    real_open = open
+
+    def opening(path, mode="r", **kwargs):
+        handle = real_open(path, mode, **kwargs)
+        if mode != "x":
+            return handle
+        handle.close()  # the temporary exists, as it would, but takes nothing
+        return Full()
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    assert run_cli(*OUTPUT_RUNS[command], "--out", "x.csv") == 2
+    assert capsys.readouterr().err == f"error: cannot write {named}: No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
 @pytest.mark.parametrize("command", ["stats", "estimate"])
 def test_a_bad_trees_line_names_its_file_and_line(tmp_path, capsys, command):
     arrays, stats = tmp_path / "a.csv", tmp_path / "st.csv"
@@ -1128,6 +1246,20 @@ def test_estimate_rejects_times_given_with_trees(tmp_path, capsys, stats_text, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("times", ["trees", "T"])
+def test_estimate_rejects_a_repeated_replicate(tmp_path, capsys, times):
+    # exited 0 with two rows for replicate 1: rho_hat 0.405465108108, then 0
+    stats, trees, out = tmp_path / "stats.csv", tmp_path / "t.nwk", tmp_path / "e.csv"
+    write(stats, "replicate,M,D\n1,3,2\n\n1,5,0\n")
+    write(trees, CHERRY + "\n")
+    argv = ["--trees", str(trees)] if times == "trees" else ["--T", "1"]
+    assert run_cli("estimate", "--stats", str(stats), *argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {stats}, line 4: replicate 1 already has a row on line 2\n"
+    )
+    assert not out.exists()
+
+
 # the fuzz test's edits: times, fields and trees lines
 FUZZ_TIMES = ["nan", "inf", "0", "-1", "1e-317", "0.5", "1", "2"]
 FUZZ_FIELDS = ["", "0", "-1", "1", "2", "7", "9", "x", "1.5", "9223372036854775808", "1_0", " 2"]
@@ -1232,6 +1364,86 @@ def test_stats_and_estimate_exit_0_or_2_on_fuzzed_input(tmp_path, capsys, fuzz_i
                 spacers = sum(1 for r in rows if r and int(r[0]) == rep)
                 assert float(theta_hat) == pytest.approx(float(rho_hat) * spacers / n, rel=1e-10)
     assert estimated >= 40  # the theta_hat check ran
+
+
+# the fuzz test's numbers for theta, rho, times and rho grid values
+FUZZ_NUMBERS = ["nan", "inf", "-1", "0", "1e-320", "0.5", "1", "3"]
+
+
+def _accepted_ratio(theta: str, rho: str) -> float:
+    """theta / rho where :class:`ModelParams` accepts the pair, else 0."""
+    theta, rho = float(theta), float(rho)
+    ok = 0 <= theta < math.inf and 0 < rho < math.inf and theta / rho < math.inf
+    return theta / rho if ok else 0.0
+
+
+def _fuzz_run_argv(rng, command):
+    """One argument list of ``command`` (simulate, validate or
+    replicate-fig1), each value an ordinary one or, at times, one of
+    FUZZ_NUMBERS or the option's own edge values; None where theta / rho
+    would be accepted above 100, which sets the number of root spacers and
+    so the memory a run takes."""
+    def pick(ordinary, edges=FUZZ_NUMBERS):
+        return rng.choice(edges) if rng.random() < 0.35 else ordinary
+
+    counts = ["-1", "0", "1"]  # replicate and trial counts are ints
+    if command == "replicate-fig1":
+        grid_values = FUZZ_NUMBERS + ["1e300", ",", "1,1"]
+        grid = ",".join(pick("1", grid_values) for _ in range(rng.randint(1, 2)))
+        factor = pick("10")
+        if _accepted_ratio(factor, "1") > 100:
+            return None
+        return [
+            # "=": argparse takes a grid such as "-1,1" for an option
+            command, "--n", rng.choice(["2", "3"]), "--rho-grid=" + grid,
+            "--theta-factor", factor, "--replicates", pick("5", counts),
+            "--seed", "3", "--out", "o.csv",
+        ]
+    theta, rho = pick("50"), pick("1", FUZZ_NUMBERS + ["1e300"])
+    if _accepted_ratio(theta, rho) > 100:
+        return None
+    if command == "simulate":
+        tree = rng.choice(["coalescent:2", "coalescent:3", "tree.nwk"])
+        if rng.random() < 0.35:
+            tree = rng.choice(["coalescent:0", "coalescent:x", "coalescent:4194305"])
+        return [
+            command, "--tree", tree, "--theta", theta, "--rho", rho,
+            "--replicates", pick("5", counts), "--seed", "3", "--out", "o.csv",
+        ]
+    tprime = ["--Tprime", pick("0.5")] if rng.random() < 0.5 else []
+    return [
+        command, "--rho", rho, "--theta", theta, "--T", pick("1"), *tprime,
+        "--trials", pick("1000", counts + ["999"]), "--seed", "3",
+    ]
+
+
+def test_simulate_validate_and_fig1_exit_0_2_or_3_on_fuzzed_numbers(
+    tmp_path, monkeypatch, capsys
+):
+    # no exception escapes main, exit 3 is validate's alone, and an exit 2
+    # says why and leaves no output; huge sizes reach only the checks that
+    # reject them
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(20261020)
+    write(tmp_path / "tree.nwk", TRIPLE + "\n")
+    codes = []
+    for command in ["simulate", "validate", "replicate-fig1"] * 12:
+        argv = None
+        while argv is None:
+            argv = _fuzz_run_argv(rng, command)
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        assert code in ((0, 2, 3) if command == "validate" else (0, 2)), argv
+        outputs = sorted(p.name for p in tmp_path.iterdir() if p.name != "tree.nwk")
+        if code == 2:
+            assert err.startswith("error: ") and outputs == [], (argv, err)
+        elif command != "validate":
+            second = "o.csv.trees" if command == "simulate" else "o.csv.summary.csv"
+            assert outputs == ["o.csv", second], argv
+            for name in outputs:
+                os.remove(name)
+        codes.append(code)
+    assert codes.count(0) >= 3 and codes.count(2) >= 3  # both ways out were taken
 
 
 def test_simulate_on_deep_caterpillar(tmp_path):
