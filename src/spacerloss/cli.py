@@ -6,15 +6,15 @@ File formats
 arrays CSV   header ``replicate,leaf,position,spacer``; positions are
              1-based from the leader end.  Replicate numbers, positions
              and spacer tokens are ASCII decimal integers in the int64
-             range [-2**63, 2**63 - 1]; a row of other than four fields
-             is rejected.
+             range [-2**63, 2**63 - 1], replicate numbers >= 1; a row of
+             other than four fields is rejected.
 trees file   one Newick string per line; line i belongs to replicate i.
              A single line means all replicates share that tree.
 stats CSV    n=2: ``replicate,M,D``; n=3: ``replicate,M,D1,D2,D3,D4``;
              one row per replicate.  Fields are int64s under the arrays
-             CSV's rule.  Statistics are empty fields when M < 2; a row
-             of another field count than the header, or of a replicate
-             already read, is rejected.
+             CSV's rule, replicate numbers >= 1.  Statistics are empty
+             fields when M < 2; a row of another field count than the
+             header, or of a replicate already read, is rejected.
 results CSV  ``rho,replicate,rho_hat,ratio,skipped``.
 
 Exit codes: 0 success, 2 usage/input error, 3 validation failure.
@@ -59,6 +59,7 @@ from . import equal_spacers, tree as treemod
 from .estimators import pair_mle, theta_moment, triple_mle
 from .process import BLOCK, MAX_NODES, ModelParams, seeded_blocks, simulate_block
 from .tree import UltrametricTree, coalescent_block, newick_lines, parse_newick
+from .validation import run_validation
 
 __all__ = ["ExperimentConfig", "main", "run_fig_experiment"]
 
@@ -334,6 +335,9 @@ def _read_arrays(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[st
         except (ValueError, DeprecationWarning) as exc:
             raise _bad_arrays_row(path, exc) from None
     rep, leaf = rows["replicate"], rows["leaf"]
+    below = np.flatnonzero(rep < 1)
+    if below.size:
+        raise CliError(f"replicate numbers start at 1, found {rep[below[0]]}")
     # a run is a stretch of rows of one (replicate, leaf); ranking the few
     # labels at run heads gives every row its leaf's rank among all labels
     head = np.ones(len(rows), dtype=bool)
@@ -375,8 +379,6 @@ def _read_trees(path: str, n_replicates: int):
                 raise CliError(f"{path}, line {i}: {exc}") from None
 
     def tree_of(rep: int) -> UltrametricTree:
-        if rep < 1:
-            raise CliError(f"replicate numbers start at 1, found {rep}")
         return trees[lines[0 if len(lines) == 1 else rep - 1]]
 
     return tree_of
@@ -503,6 +505,10 @@ def _read_stats(path: str) -> tuple[int, np.ndarray]:
             except ValueError:
                 raise _bad_row(path, reader.line_num, header, row) from None
             rep = table[-1][0]
+            if rep < 1:
+                raise CliError(
+                    f"{path}, line {reader.line_num}: replicate numbers start at 1, found {rep}"
+                )
             if line_of.setdefault(rep, reader.line_num) != reader.line_num:
                 raise CliError(
                     f"{path}, line {reader.line_num}: replicate {rep} already has "
@@ -550,11 +556,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # imported here: validation is the one command that loads scipy
-    # (scipy.stats, and scipy.special through the pmfs it checks), whose
-    # import takes longer than numpy's and the package's together
-    from .validation import run_validation
-
     if args.trials < 1000:
         raise CliError("need at least 1000 trials")
     report = run_validation(args.rho, args.theta, args.T, args.Tprime, args.trials, args.seed)

@@ -5,11 +5,6 @@ coefficients, so counts up to 1e6 are handled without overflow.  The
 count arguments of :func:`pair_gap_pmf`, :func:`triple_gap_pmf` and
 :meth:`GeneralGapLaw.logpmf_array` broadcast over numpy arrays.
 
-Only validation and tests call these pmfs and
-:func:`pair_sampling_logpmf`; they import ``scipy.special`` when called.
-The conditional log-likelihoods and the score that estimation uses need
-numpy alone, so importing this module does not load scipy.
-
 Gap counts follow the "unshared" convention throughout: a gap value a
 is the number of spacers strictly between two consecutive equal spacers
 (the bounding equal spacers are not counted), so a = 0 for adjacent
@@ -85,13 +80,27 @@ def _exp_neg(rho: float, T: float) -> float:
     return math.exp(-min(rho * T, MAX_RHO_T))
 
 
+def _xlogy(x, y):
+    """x log y, with 0 log y = 0 even where y = 0 (a = 1 - e^{-rho T}
+    underflows to 0 once rho T is subnormal), and x log 0 = -inf without
+    a warning."""
+    with np.errstate(divide="ignore"):
+        return x * np.log(np.where(x == 0, 1.0, y))
+
+
+def _log_factorial(k):
+    """log k! of nonnegative integer counts of any shape: ``math.lgamma``
+    of each distinct value, indexed back."""
+    k = np.asarray(k)
+    values, inverse = np.unique(k, return_inverse=True)
+    return np.array([math.lgamma(v + 1) for v in values.tolist()])[inverse.reshape(k.shape)]
+
+
 # -- two leaves --------------------------------------------------------
 
 
 def pair_gap_logpmf(a, b, rho: float, T: float):
     """log P(A=a, B=b): C(a+b, a) * (p / (2-p)) * x^(a+b), p = e^{-rho T}."""
-    from scipy.special import gammaln, xlogy
-
     _check_times(rho, T)
     a = np.asarray(a)
     b = np.asarray(b)
@@ -105,11 +114,11 @@ def pair_gap_logpmf(a, b, rho: float, T: float):
     log_2mp = math.log(2.0 - p)
     x = (1.0 - p) / (2.0 - p)
     out = (
-        gammaln(s + 1)
-        - gammaln(a + 1)
-        - gammaln(b + 1)
+        _log_factorial(s)
+        - _log_factorial(a)
+        - _log_factorial(b)
         + (-rho * T - log_2mp)
-        + xlogy(s, x)
+        + _xlogy(s, x)
     )
     return out if out.ndim else float(out)
 
@@ -137,8 +146,6 @@ def pair_sampling_logpmf(v, w, theta: float, rho: float, T: float) -> float:
     theta/rho * (1 - e^{-rho T}); later segments factorize over the gap
     law.
     """
-    from scipy.special import logsumexp
-
     _check_times(rho, T)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
@@ -159,19 +166,18 @@ def pair_sampling_logpmf(v, w, theta: float, rho: float, T: float) -> float:
         + _poisson_logpmf(v[0] - aa, z)
         + _poisson_logpmf(w[0] - bb, z)
     )
-    total = float(logsumexp(terms))
+    top = terms.max()  # -inf when every term is: no shift to subtract
+    total = float(top if top == -np.inf else top + math.log(np.exp(terms - top).sum()))
     for i in range(1, len(v)):
         total += float(pair_gap_logpmf(v[i] - v[i - 1], w[i] - w[i - 1], rho, T))
     return total
 
 
 def _poisson_logpmf(k, mean: float):
-    from scipy.special import gammaln, xlogy
-
     k = np.asarray(k)
     if mean == 0.0:
         return np.where(k == 0, 0.0, -np.inf)
-    return xlogy(k, mean) - mean - gammaln(k + 1)
+    return _xlogy(k, mean) - mean - _log_factorial(k)
 
 
 def pair_conditional_loglik(m, d, rho, T):
@@ -211,8 +217,6 @@ def die_probs_triple(rho: float, T: float, T_prime: float) -> tuple[float, ...]:
 def triple_gap_logpmf(a, b, c, d, e, f, rho: float, T: float, T_prime: float):
     """log P of one interior-gap count tuple: multinomial times the
     per-class factors q_i/(1-q7) with final factor q8/(1-q7)."""
-    from scipy.special import gammaln, xlogy
-
     counts = [np.asarray(x) for x in (a, b, c, d, e, f)]
     for x in counts:
         if np.any(x < 0):
@@ -221,23 +225,15 @@ def triple_gap_logpmf(a, b, c, d, e, f, rho: float, T: float, T_prime: float):
     denom = 1.0 - q[6]
     g = [qi / denom for qi in q[:6]]
     s = sum(counts)
-    out = gammaln(s + 1) + math.log(q[7] / denom)
+    out = _log_factorial(s) + math.log(q[7] / denom)
     for x, gi in zip(counts, g):
-        out = out - gammaln(x + 1) + xlogy(x, gi)
+        out = out - _log_factorial(x) + _xlogy(x, gi)
     return out if out.ndim else float(out)
 
 
 def triple_gap_pmf(a, b, c, d, e, f, rho: float, T: float, T_prime: float):
     out = np.exp(triple_gap_logpmf(a, b, c, d, e, f, rho, T, T_prime))
     return out if isinstance(out, np.ndarray) else float(out)
-
-
-def _xlogy(x, y):
-    """x log y, with 0 log y = 0 even where y = 0 (a = 1 - e^{-rho T}
-    underflows to 0 once rho T is subnormal), and x log 0 = -inf without
-    a warning: the convention of ``scipy.special.xlogy``."""
-    with np.errstate(divide="ignore"):
-        return x * np.log(np.where(x == 0, 1.0, y))
 
 
 def triple_conditional_loglik(m, d1, d2, d3, d4, rho, T, T_prime):
@@ -397,15 +393,15 @@ class GeneralGapLaw:
     def logpmf_array(self, counts: np.ndarray) -> np.ndarray:
         """Vectorized logpmf; ``counts`` has one column per subset, column
         ``mask - 1`` for the subset of ``mask``."""
-        from scipy.special import gammaln
-
         counts = np.asarray(counts)
+        if np.any(counts < 0):
+            raise ValueError("counts must be nonnegative")
         s = counts.sum(axis=-1)
         out = (
             -(1 + s) * self.log_p_root
             + self.neg_rho_lambda
-            + gammaln(s + 1)
-            - gammaln(counts + 1).sum(axis=-1)
+            + _log_factorial(s)
+            - _log_factorial(counts).sum(axis=-1)
         )
         with np.errstate(invalid="ignore"):
             contrib = np.where(counts > 0, counts * self.log_p_subset, 0.0)

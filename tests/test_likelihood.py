@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import xlogy
+from scipy.special import gammaln, logsumexp, xlogy
 
 from spacerloss.likelihood import (
     MAX_RHO_T,
     GeneralGapLaw,
+    _log_factorial,
     die_probs_pair,
     die_probs_triple,
     general_gap_logpmf,
@@ -139,6 +140,53 @@ def test_pair_sampling_logpmf_zero_theta_reduces_to_gap_law():
     )
     got = pair_sampling_logpmf(v, w, theta=0.0, rho=rho, T=T)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def _pair_sampling_logpmf_with_scipy(v, w, theta, rho, T):
+    # the double convolution of pair_sampling_logpmf, on scipy's functions
+    p = math.exp(-rho * T)
+
+    def gap(a, b):
+        s = a + b
+        return (gammaln(s + 1) - gammaln(a + 1) - gammaln(b + 1) - rho * T
+                - math.log(2 - p) + xlogy(s, (1 - p) / (2 - p)))
+
+    def poisson(k, mean):
+        return xlogy(k, mean) - mean - gammaln(k + 1)
+
+    z = theta / rho * (1 - p)
+    aa, bb = np.meshgrid(np.arange(v[0] + 1), np.arange(w[0] + 1), indexing="ij")
+    first = logsumexp(gap(aa, bb) + poisson(v[0] - aa, z) + poisson(w[0] - bb, z))
+    return float(first + sum(gap(np.diff(v), np.diff(w))))
+
+
+def test_pair_sampling_logpmf_matches_a_scipy_logsumexp_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        v = np.cumsum(rng.integers(0, 40, rng.integers(1, 5)))
+        w = np.cumsum(rng.integers(0, 40, len(v)))
+        theta, rho, T = rng.uniform(0.1, 200), 10.0 ** rng.uniform(-2, 1), rng.uniform(0.05, 3)
+        got = pair_sampling_logpmf(v.tolist(), w.tolist(), theta, rho, T)
+        assert got == pytest.approx(_pair_sampling_logpmf_with_scipy(v, w, theta, rho, T),
+                                    rel=1e-12, abs=1e-12)
+
+
+def test_pair_sampling_logpmf_is_minus_inf_without_warning_when_every_term_is():
+    # no gains and rho * T below float resolution: every gap and every gain
+    # count is 0 with probability 1, so v[0] > 0 cannot happen
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pair_sampling_logpmf((2, 3), (0, 1), theta=0.0, rho=1.0, T=1e-320) == -math.inf
+
+
+@pytest.mark.parametrize("k", [
+    np.array(0), np.array(1_000_000), np.arange(0, 1_000_001, 997),
+    np.random.default_rng(3).integers(0, 1_000_001, (40, 7)), np.zeros((0, 3), np.int64),
+], ids=["0d-zero", "0d-1e6", "1d", "2d", "empty"])
+def test_log_factorial_matches_gammaln(k):
+    got = _log_factorial(k)
+    assert np.shape(got) == k.shape
+    assert np.all(np.abs(got - gammaln(k + 1)) <= 4e-15 * np.maximum(gammaln(k + 1), 1.0))
 
 
 def test_pair_sampling_logpmf_rejects_decreasing():
@@ -366,6 +414,13 @@ def test_general_law_array_matches_scalar():
     for row, want in zip(counts, vec):
         got = law.logpmf(dict(zip(law.subsets, (int(x) for x in row))))
         assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_general_law_array_rejects_negative_counts():
+    # a negative count gave a NaN row with a RuntimeWarning
+    law = GeneralGapLaw(parse_newick("((1:0.5,2:0.5):0.5,3:1);"), 0.8)
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        law.logpmf_array(np.array([[1, 0, 2, 0, 0, 0], [0, -1, 0, 0, 0, 0]]))
 
 
 def test_general_law_rejects_non_integer_counts():

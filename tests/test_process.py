@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spacerloss import process
+from spacerloss import process, validation
 from spacerloss.likelihood import pair_gap_pmf, triple_gap_pmf
 from spacerloss.equal_spacers import (
     gap_decomposition,
@@ -32,7 +32,7 @@ from spacerloss.tree import (
     subset_mask,
     to_newick,
 )
-from spacerloss.validation import chisquare_from_counts, run_validation, sample_gaps
+from spacerloss.validation import chi2_sf, chisquare_from_counts, run_validation, sample_gaps
 
 PARAMS = ModelParams(theta=10.0, rho=0.5)
 
@@ -318,3 +318,48 @@ def test_validation_detects_a_doubled_loss_rate_on_one_edge(monkeypatch):
     assert min(p for _, _, p in report) < 1e-4
     monkeypatch.undo()
     assert min(p for _, _, p in run_validation(1.0, 100.0, 1.0, None, 5000, 17)) >= 1e-4
+
+
+def test_chi2_sf_matches_scipy_for_df_to_4200_and_p_to_1e_300():
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(26)
+    df = np.concatenate([np.arange(1, 11), rng.integers(1, 4201, 3000)])
+    # p log-uniform in (1e-300, 1), and some in the far left tail where p ~ 1
+    q = np.concatenate([
+        10.0 ** -rng.uniform(0, 300, len(df) - 100), 1 - 10.0 ** -rng.uniform(0, 16, 100)
+    ])
+    x = chi2.isf(q, df)
+    want = chi2.sf(x, df)
+    keep = want >= 1e-300
+    assert keep.sum() > 2900
+    got = np.array([chi2_sf(xi, di) for xi, di in zip(x[keep].tolist(), df[keep].tolist())])
+    assert np.all(np.abs(got - want[keep]) <= 1e-10 * want[keep])
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4095])
+def test_chi2_sf_at_zero_and_infinity(df):
+    assert chi2_sf(0.0, df) == 1.0
+    assert chi2_sf(math.inf, df) == 0.0
+
+
+def test_validation_normal_p_is_twice_scipys_normal_tail(monkeypatch):
+    # the new-spacer p-values of a passing run and, with the model means
+    # shifted, of failing runs whose z-scores reach far into the tails
+    from scipy.stats import norm
+
+    means = validation.new_spacer_means
+    pairs = []
+    for scale in (1.0, 1.1, 1.5, 3.0):
+        monkeypatch.setattr(
+            validation, "new_spacer_means", lambda *args, s=scale: s * means(*args)
+        )
+        for T_prime in (None, 0.4):
+            report = run_validation(1.0, 100.0, 1.0, T_prime, 1000, 5)
+            pairs += [(z, p) for name, z, p in report[1:] if "exactly 0" not in name]
+    z, p = np.array(pairs).T
+    want = 2.0 * norm.sf(np.abs(z))
+    assert np.abs(z).max() > 30
+    tail = want >= 1e-300
+    assert np.all(np.abs(p[tail] - want[tail]) <= 1e-11 * want[tail])
+    assert np.all(p[~tail] < 1e-290)
