@@ -20,10 +20,12 @@ results CSV  ``rho,replicate,rho_hat,ratio,skipped``.
 Exit codes: 0 success, 2 usage/input error, 3 validation failure.
 ``validate`` reports what :func:`spacerloss.validation.run_validation`
 computes.
-``stats`` and ``estimate`` check each replicate's tree in one pass, against
-the arrays' labels or the statistics' n leaves (2 or 3, from the stats
-header); ``estimate --arrays`` needs n arrays per replicate and writes
-theta_hat = rho_hat x spacers / n.  ``--T`` and ``--trees`` exclude each other.
+``stats`` and ``estimate`` check each replicate's tree in one pass of the
+trees file after their other inputs' checks, against the arrays' labels or
+the statistics' n leaves (2 or 3, from the stats header); ``estimate
+--arrays`` needs n arrays per replicate and writes theta_hat = rho_hat x
+spacers / n.  ``--T`` and ``--trees`` exclude each other.  ``stats`` reads
+D off :func:`~spacerloss.equal_spacers.token_statistics`' interior totals.
 Every command that writes files writes them through :func:`_committed`.
 
 Determinism: ``simulate``, ``replicate-fig1`` and ``validate`` share one
@@ -337,7 +339,7 @@ def _read_arrays(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[st
     rep, leaf = rows["replicate"], rows["leaf"]
     below = np.flatnonzero(rep < 1)
     if below.size:
-        raise CliError(f"replicate numbers start at 1, found {rep[below[0]]}")
+        raise CliError(f"{path}: replicate numbers start at 1, found {rep[below[0]]}")
     # a run is a stretch of rows of one (replicate, leaf); ranking the few
     # labels at run heads gives every row its leaf's rank among all labels
     head = np.ones(len(rows), dtype=bool)
@@ -354,22 +356,27 @@ def _read_arrays(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[st
     if wrong.size:  # the first in file order is where a row-by-row reading stops
         i = wrong.min()
         raise CliError(
-            f"non-contiguous positions for replicate {rows['replicate'][i]}, "
+            f"{path}: non-contiguous positions for replicate {rows['replicate'][i]}, "
             f"leaf {rows['leaf'][i]!r}"
         )
     return rows["spacer"][order], starts, rep_sorted[starts], leaf[order[starts]].tolist()
 
 
-def _read_trees(path: str, n_replicates: int):
-    """The tree lookup of replicates 1..n_replicates: the r-th nonblank
-    line of ``path`` holds replicate r's tree, a single line every
-    replicate's.  Each distinct line is parsed once, however many
-    replicates share it."""
+_STATS_HEADER = {2: ["replicate", "M", "D"], 3: ["replicate", "M", "D1", "D2", "D3", "D4"]}
+
+
+def _tree_times(path: str, reps, n: int, labels=None, arrays_path=None):
+    """The one pass over the trees file ``path``, whose r-th nonblank line
+    holds replicate r's tree (a single line, every replicate's), each
+    distinct line parsed once.  In replicate order, replicate ``reps[i]``'s
+    tree has the leaves ``labels[n * i:n * i + n]`` of ``arrays_path`` where
+    the arrays are known, and n leaves otherwise.  Returns arrays of the
+    heights and, for n = 3, the cherry depths and outgroup leaf bits."""
     with _text_file(path) as fh:
         numbered = {i: ln.strip() for i, ln in enumerate(fh, 1) if ln.strip()}
-    lines = list(numbered.values())
-    if len(lines) != 1 and len(lines) < n_replicates:
-        raise CliError(f"{path} has {len(lines)} trees for {n_replicates} replicates")
+    lines, last = list(numbered.values()), max(reps, default=0)
+    if len(lines) != 1 and len(lines) < last:
+        raise CliError(f"{path} has {len(lines)} trees for {last} replicates")
     trees = {}  # a tree is immutable: replicates with the same line share one parse
     for i, ln in numbered.items():
         if ln not in trees:
@@ -377,24 +384,9 @@ def _read_trees(path: str, n_replicates: int):
                 trees[ln] = parse_newick(ln)
             except treemod.TreeError as exc:
                 raise CliError(f"{path}, line {i}: {exc}") from None
-
-    def tree_of(rep: int) -> UltrametricTree:
-        return trees[lines[0 if len(lines) == 1 else rep - 1]]
-
-    return tree_of
-
-
-_STATS_HEADER = {2: ["replicate", "M", "D"], 3: ["replicate", "M", "D1", "D2", "D3", "D4"]}
-
-
-def _tree_times(tree_of, reps, n: int, labels=None, arrays_path=None):
-    """The one check of each replicate's tree, in replicate order: replicate
-    ``reps[i]``'s tree has the leaves ``labels[n * i:n * i + n]`` of
-    ``arrays_path`` where the arrays are known, and n leaves otherwise.
-    Returns the heights and, for n = 3, the cherry depths and outgroup leaf bits."""
     height, depth, outgroup = [], [], []
     for i, rep in enumerate(reps):
-        t = tree_of(rep)
+        t = trees[lines[0 if len(lines) == 1 else rep - 1]]
         if labels is not None and list(t.leaves) != labels[n * i:n * i + n]:  # label order
             raise CliError(
                 f"leaf mismatch between files at replicate {rep}: {arrays_path} has "
@@ -411,7 +403,7 @@ def _tree_times(tree_of, reps, n: int, labels=None, arrays_path=None):
             f1, f2 = t.cherry()
             depth.append(t.length[t.leaf_ids[f1]])
             outgroup.append(3 - t.leaves.index(f1) - t.leaves.index(f2))
-    return height, depth, outgroup
+    return np.array(height), np.array(depth), np.array(outgroup)
 
 
 def cmd_stats(args) -> int:
@@ -419,26 +411,20 @@ def cmd_stats(args) -> int:
     if not leaf:
         raise CliError(f"{args.arrays} has no replicates")
     reps, leaves_per_rep = np.unique(replicate, return_counts=True)
-    tree_of = _read_trees(args.trees, int(reps[-1])) if args.trees else None
     sizes = set(leaves_per_rep.tolist())
     if sizes - {2, 3} or len(sizes) != 1:
         raise CliError(f"stats requires 2 or 3 leaves per replicate, found {sizes}")
     n = sizes.pop()
-    if n == 3 and tree_of is None:
+    if n == 3 and not args.trees:
         raise CliError("three-leaf stats need --trees for the cherry")
-    m, mask, gap, repeat = equal_spacers.token_statistics(tokens, starts, n)
+    m, totals, _, _, repeat = equal_spacers.token_statistics(tokens, starts, n)
     # checked as a replicate-by-replicate pass would: trees first, then
     # repeats, stopping at the replicate of the first repeat
     stop = len(reps) if repeat < 0 else (np.searchsorted(starts, repeat, "right") - 1) // n
-    if tree_of is not None:
-        *_, outgroup = _tree_times(tree_of, reps[:stop + 1].tolist(), n, leaf, args.arrays)
+    if args.trees:
+        *_, outgroup = _tree_times(args.trees, reps[:stop + 1].tolist(), n, leaf, args.arrays)
     if repeat >= 0:
         raise equal_spacers.duplicate_error(tokens, starts, leaf, repeat)
-    # one count of replicate * 2^n + mask over the rows in gaps 1..m-1
-    counted = gap >= 1
-    rep_row = np.repeat(np.arange(len(reps)), np.diff(starts[::n], append=len(tokens)))
-    key = rep_row[counted] << n | mask[counted].astype(np.intp)
-    totals = np.bincount(key, minlength=len(reps) << n).reshape(len(reps), 1 << n)
     ds = equal_spacers.interior_statistics(totals, outgroup if n == 3 else None)
     with _committed((args.out,)) as (fh,):
         csv.writer(fh).writerows([_STATS_HEADER[n], *(
@@ -492,7 +478,7 @@ def _read_stats(path: str) -> tuple[int, np.ndarray]:
         header = next(reader, [])
         n = next((k for k, h in _STATS_HEADER.items() if h == header), None)
         if n is None:
-            raise CliError(f"unrecognized stats header {header}")
+            raise CliError(f"unrecognized stats header in {path}: {header}")
         table, line_of = [], {}  # line_of: the line of each replicate's row
         for row in filter(None, reader):  # blank lines are skipped
             try:
@@ -526,10 +512,9 @@ def cmd_estimate(args) -> int:
     if not args.trees and (args.T is None or n == 3 and args.Tprime is None):
         raise CliError(f"need --trees or --T{'' if n == 2 else ' and --Tprime'}")
     reps = table[:, 0].tolist()
-    tree_of = _read_trees(args.trees, max(reps, default=0)) if args.trees else None
     labels, spacers = _replicate_arrays(args.arrays, reps, n) if args.arrays else (None, None)
-    if tree_of is not None:  # every row's tree is checked, estimated or not
-        T, T_prime, _ = map(np.array, _tree_times(tree_of, reps, n, labels, args.arrays))
+    if args.trees:  # every row's tree is checked, estimated or not
+        T, T_prime, _ = _tree_times(args.trees, reps, n, labels, args.arrays)
     else:
         T, T_prime = np.full(len(reps), args.T), np.full(len(reps), args.Tprime)
     used = table[:, 1] >= 2  # rows with M < 2 are skipped; the others estimated in one call

@@ -15,13 +15,16 @@ first and last equal spacer); the leader-side segment mixes old and new
 spacers and is excluded.  Datasets with fewer than two equal spacers
 yield absent statistics (``None``), never silent zeros.
 
-:func:`interior_totals` computes the interior statistics of a whole
+:func:`interior_totals` computes the interior totals of a whole
 block of simulated replicates at once from the leaf masks of its root
 spacers (``Block.fates(tree.root)``, see :class:`spacerloss.process.Block`).
 That is exact under the ordered independent loss model: a spacer gained
 below the root never reaches every leaf, so every equal spacer is a root
 spacer, and gains sit at the leader end of every array, before the first
 equal spacer, in gap 0.
+
+Both kernels return ``(m, totals)`` first, and every D, of a file or of a
+block, is :func:`interior_statistics` of those totals.
 """
 
 from __future__ import annotations
@@ -52,14 +55,16 @@ Arrays = Mapping[str, Sequence[int]]
 
 
 def token_statistics(tokens: np.ndarray, starts: np.ndarray, n: int):
-    """Membership and gaps of every spacer of replicates of ``n`` arrays each.
+    """Membership, gaps and interior totals of replicates of ``n`` arrays each.
 
     ``tokens`` holds int64 spacer tokens in (replicate, leaf, position)
     order, the leaves of a replicate in label order; array j starts at
     ``starts[j]`` and may be empty.  Its leaf bit is j % n, the rank of its
-    label.  Returns ``(m, mask, gap, repeat)``:
+    label.  Returns ``(m, totals, mask, gap, repeat)``:
 
     - ``m``, the equal spacers of each replicate;
+    - ``totals`` (replicates x 2^n), each replicate's :func:`interior_totals`,
+      with column 0 at 0: a file holds no spacer that every array lost;
     - ``mask``, per row, the uint64 mask of the leaves holding its token;
     - ``gap``, per row, its gap where :class:`GapDecomposition` counts it
       (held by a proper subset, in its first holder, before the last
@@ -67,6 +72,13 @@ def token_statistics(tokens: np.ndarray, starts: np.ndarray, n: int):
     - ``repeat``, the first row whose token is already earlier in its
       array, or -1.  Where there is one, the other outputs mean nothing.
     """
+    m, rep, mask, gap, repeat = _memberships(tokens, starts, n)
+    key = (rep << n | mask.astype(np.intp))[gap >= 1]  # the rows in gaps 1..m-1
+    return m, np.bincount(key, minlength=len(m) << n).reshape(-1, 1 << n), mask, gap, repeat
+
+
+def _memberships(tokens: np.ndarray, starts: np.ndarray, n: int):
+    """:func:`token_statistics` with each row's replicate for the 2^n totals: n up to 64."""
     if n > 64:
         raise ValueError("leaf masks hold at most 64 arrays")
     rows = len(tokens)
@@ -92,7 +104,7 @@ def token_statistics(tokens: np.ndarray, starts: np.ndarray, n: int):
     equal.cumsum(out=seen[1:])
     m = seen[(starts + lengths)[::n]] - seen[starts[::n]]  # in each first array
     gap = seen[:-1] - seen[starts][run]
-    return m, mask, np.where(first_holder & ~equal & (gap < m[rep]), gap, -1), repeat
+    return m, rep, mask, np.where(first_holder & ~equal & (gap < m[rep]), gap, -1), repeat
 
 
 def duplicate_error(tokens, starts, labels, row: int) -> ValueError:
@@ -101,16 +113,16 @@ def duplicate_error(tokens, starts, labels, row: int) -> ValueError:
     return ValueError(f"duplicate spacer {tokens[row]} in array {labels[j]!r}")
 
 
-def _one_row(arrays: Arrays):
-    """Sorted labels, array starts, m, mask and gap of one replicate."""
+def _one_row(arrays: Arrays, kernel=_memberships):
+    """One replicate's sorted labels, array starts and ``kernel``'s outputs but ``repeat``."""
     leaves = sorted(arrays)
     cols = [arrays[lab] for lab in leaves]
     tokens = np.array(list(chain.from_iterable(cols)), dtype=np.int64)
     starts = np.array(list(accumulate(map(len, cols), initial=0))[:-1], dtype=np.intp)
-    m, mask, gap, repeat = token_statistics(tokens, starts, len(leaves))
+    m, extra, mask, gap, repeat = kernel(tokens, starts, len(leaves))
     if repeat >= 0:
         raise duplicate_error(tokens, starts, leaves, repeat)
-    return leaves, starts, int(m[0]), mask, gap
+    return leaves, starts, int(m[0]), extra, mask, gap
 
 
 def equal_indices(arrays: Arrays, K, L=None) -> dict[str, list[int]]:
@@ -126,7 +138,7 @@ def equal_indices(arrays: Arrays, K, L=None) -> dict[str, list[int]]:
     for k in L:
         if k not in arrays:
             raise KeyError(f"no array for leaf {k!r}")
-    leaves, starts, _, mask, _ = _one_row(arrays)
+    leaves, starts, _, _, mask, _ = _one_row(arrays)
     hit = (mask & np.uint64(subset_mask(leaves, L))) == np.uint64(subset_mask(leaves, K))
     ends = np.concatenate((starts[1:], [len(mask)]))
     return {
@@ -154,7 +166,7 @@ def gap_decomposition(arrays: Arrays) -> GapDecomposition:
     """Decompose the arrays into per-gap exact-subset counts."""
     if len(arrays) < 2:
         raise ValueError("need at least 2 leaf arrays")
-    leaves, _, m, mask, gap = _one_row(arrays)
+    leaves, _, m, _, mask, gap = _one_row(arrays)
     counts: dict[int, list[int]] = {}  # per mask, in order of the first counted row
     for k, g in zip(mask[gap >= 0].tolist(), gap[gap >= 0].tolist()):
         counts.setdefault(k, [0] * m)[g] += 1
@@ -216,13 +228,13 @@ class PairStats:
 def pair_stats(arrays: Arrays) -> PairStats:
     if len(arrays) != 2:
         raise ValueError("pair_stats requires exactly 2 leaf arrays")
-    _, _, m, mask, gap = _one_row(arrays)
+    _, _, m, totals, mask, gap = _one_row(arrays, token_statistics)
     # every unshared spacer of a pair is held by one leaf only: mask 1 or 2
     v, w = (
         tuple(accumulate(np.bincount(gap[(mask == k) & (gap >= 0)], minlength=m).tolist()))
         for k in (1, 2)
     )
-    d = (v[-1] - v[0]) + (w[-1] - w[0]) if m >= 2 else None
+    d = int(interior_statistics(totals[0])) if m >= 2 else None
     return PairStats(m=m, v=v, w=w, d=d)
 
 
@@ -250,9 +262,8 @@ def triple_stats(arrays: Arrays, cherry: tuple[str, str]) -> TripleStats:
     if len(arrays) != 3:
         raise ValueError("triple_stats requires exactly 3 leaf arrays")
     (f3,) = set(arrays) - set(cherry)  # the cherry is two distinct leaves of the three
-    leaves, _, m, mask, gap = _one_row(arrays)
+    leaves, _, m, totals, _, _ = _one_row(arrays, token_statistics)
     if m < 2:
         return TripleStats(m=m, d1=None, d2=None, d3=None, d4=None)
-    totals = np.bincount(mask[gap >= 1].astype(np.intp), minlength=8)
-    d1, d2, d3, d4 = interior_statistics(totals, leaves.index(f3)).tolist()
+    d1, d2, d3, d4 = interior_statistics(totals[0], leaves.index(f3)).tolist()
     return TripleStats(m=m, d1=d1, d2=d2, d3=d3, d4=d4)

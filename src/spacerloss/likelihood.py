@@ -29,9 +29,7 @@ import numpy as np
 
 # ``p_exact_subset`` is not called here; the benchmark's call counter
 # wraps it under this module's name
-from .tree import (
-    UltrametricTree, fate_probs, mask_subset, p_exact_subset, spanning_length, subset_mask,
-)
+from .tree import UltrametricTree, fate_probs, mask_subset, p_exact_subset, subset_mask
 
 __all__ = [
     "GeneralGapLaw",
@@ -354,11 +352,9 @@ class GeneralGapLaw:
             )
         object.__setattr__(self, "log_p_subset", log_p)
         object.__setattr__(self, "log_p_root", math.log(p_root))
-        object.__setattr__(
-            self,
-            "neg_rho_lambda",
-            -self.rho * spanning_length(self.tree, self.tree.root, self.tree.leaves),
-        )
+        # the root's own length, which a Newick root may carry, is no branch
+        lam = sum(x for v, x in enumerate(self.tree.length) if v != self.tree.root)
+        object.__setattr__(self, "neg_rho_lambda", -self.rho * lam)
 
     @cached_property
     def subsets(self) -> tuple[frozenset, ...]:

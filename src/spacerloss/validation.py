@@ -16,6 +16,7 @@ with more equal spacers have shorter gaps.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -36,9 +37,9 @@ class GapSample:
     ``classes`` lists the nonempty proper leaf subsets ordered by size,
     then by label.  ``first_gaps`` maps a tuple of first-interior-gap
     counts, one per class, to the number of replicates with at least two
-    equal spacers that showed it.  ``new_counts[K]`` totals, over all
-    replicates, the spacers gained below the root and held by exactly the
-    leaves of K.
+    equal spacers that showed it, in increasing key order.
+    ``new_counts[K]`` totals, over all replicates, the spacers gained below
+    the root and held by exactly the leaves of K.
     """
 
     classes: tuple[frozenset, ...]
@@ -53,7 +54,7 @@ def sample_gaps(tree: UltrametricTree, params: ModelParams, trials: int, seed: i
         frozenset(K) for size in range(1, n) for K in combinations(leaves, size)
     )
     class_masks = [subset_mask(leaves, K) for K in classes]
-    first_gaps, new_counts = [], np.zeros(1 << n, np.int64)
+    first_gaps, new_counts = Counter(), np.zeros(1 << n, np.int64)
     for rng, count in seeded_blocks(seed, (), trials):
         block = simulate_block(tree, np.tile(tree.length, (BLOCK, 1)), params, rng)
         # every equal spacer is a root spacer; with the fates past a row's
@@ -62,12 +63,12 @@ def sample_gaps(tree: UltrametricTree, params: ModelParams, trials: int, seed: i
         equal = fates == (1 << n) - 1
         fates[np.cumsum(equal, axis=1) - equal >= 2] = 0
         m, totals = interior_totals(fates, n)
-        first_gaps.append(totals[m >= 2][:, class_masks])
+        # counted per block, so memory does not grow with the trials
+        first_gaps.update(map(tuple, totals[m >= 2][:, class_masks].tolist()))
         # a spacer gained below the root never reaches every leaf
         for v in tree.preorder()[1:]:
             new_counts += np.bincount(block.fates(v)[:count].ravel(), minlength=1 << n)
-    keys, counts = np.unique(np.concatenate(first_gaps), axis=0, return_counts=True)
-    first = dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+    first = dict(sorted(first_gaps.items()))
     return GapSample(classes, first, {K: int(new_counts[k]) for K, k in zip(classes, class_masks)})
 
 

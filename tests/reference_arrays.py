@@ -31,7 +31,9 @@ def read_arrays(path: str) -> dict[int, dict[str, tuple[int, ...]]]:
             leaf = row["leaf"]
             arr = replicates.setdefault(rep, {}).setdefault(leaf, [])
             if pos != len(arr) + 1:
-                raise CliError(f"non-contiguous positions for replicate {rep}, leaf {leaf!r}")
+                raise CliError(
+                    f"{path}: non-contiguous positions for replicate {rep}, leaf {leaf!r}"
+                )
             arr.append(spacer)
     return {
         rep: {leaf: tuple(a) for leaf, a in leaves.items()}

@@ -232,9 +232,11 @@ def test_stats_reports_the_first_failing_replicate(
     ))
     out = tmp_path / "s.csv"
     assert run_cli("stats", "--arrays", str(arrays), "--trees", str(trees), "--out", str(out)) == 2
-    # a leaf mismatch goes on to name the arrays file and both label lists
+    # a leaf mismatch goes on to name the arrays file and both label lists,
+    # and a reader's error starts with it
     detail = f": {arrays} has leaves ['1', '2'], its tree ['1', '3']" if "leaf" in message else ""
-    assert capsys.readouterr().err == f"error: {message}{detail}\n"
+    head = f"{arrays}: " if message.startswith("replicate numbers") else ""
+    assert capsys.readouterr().err == f"error: {head}{message}{detail}\n"
     assert not out.exists()
 
 
@@ -556,7 +558,7 @@ STATS_PAIR, STATS_TRIPLE = "replicate,M,D\n1,3,2\n", "replicate,M,D1,D2,D3,D4\n1
     (["stats", "--arrays", "a.csv", "--out", "o.csv"], {"a.csv": ARRAYS_BAD_HEADER},
      "unexpected arrays header in a.csv: ['replicate', 'leaf', 'pos', 'spacer']"),
     (["estimate", "--stats", "st.csv", "--T", "1", "--out", "o.csv"],
-     {"st.csv": "replicate,M\n1,3\n"}, "unrecognized stats header ['replicate', 'M']"),
+     {"st.csv": "replicate,M\n1,3\n"}, "unrecognized stats header in st.csv: ['replicate', 'M']"),
     (["estimate", "--stats", "st.csv", "--out", "o.csv"], {"st.csv": STATS_PAIR},
      "need --trees or --T"),
     (["estimate", "--stats", "st.csv", "--T", "1", "--out", "o.csv"], {"st.csv": STATS_TRIPLE},
@@ -579,11 +581,11 @@ STATS_PAIR, STATS_TRIPLE = "replicate,M,D\n1,3,2\n", "replicate,M,D1,D2,D3,D4\n1
      "st.csv, line 2: replicate numbers start at 1, found -1"),
     (["stats", "--arrays", "a.csv", "--out", "o.csv"],
      {"a.csv": "replicate,leaf,position,spacer\n0,1,1,5\n0,2,1,5\n"},
-     "replicate numbers start at 1, found 0"),
+     "a.csv: replicate numbers start at 1, found 0"),
     (["estimate", "--stats", "st.csv", "--T", "1", "--arrays", "a.csv", "--out", "o.csv"],
      {"st.csv": STATS_PAIR,
       "a.csv": "replicate,leaf,position,spacer\n1,1,1,5\n1,2,1,5\n-3,1,1,7\n-3,2,1,7\n"},
-     "replicate numbers start at 1, found -3"),
+     "a.csv: replicate numbers start at 1, found -3"),
 ], ids=[
     "arrays-header", "stats-header", "pair-without-times", "triple-without-tprime",
     "coalescent-x", "coalescent-1", "fig1-no-replicates", "validate-tprime-equals-t",
@@ -1030,6 +1032,27 @@ def test_a_bad_trees_line_names_its_file_and_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "estimate"])
+def test_a_bad_trees_file_is_reported_after_the_arrays_checks(tmp_path, capsys, command):
+    # replicate 2 has one array: stats rejects its leaf count, and estimate
+    # --arrays finds replicate 3 missing, before either reads the trees file
+    arrays, stats = tmp_path / "a.csv", tmp_path / "st.csv"
+    write(arrays, "replicate,leaf,position,spacer\n1,1,1,7\n1,2,1,7\n2,1,1,8\n")
+    write(stats, "replicate,M,D\n1,1,\n3,1,\n")
+    trees = tmp_path / "t.nwk"
+    write(trees, "(1:1,2:1)\n")
+    inputs = ["--arrays", str(arrays)] if command == "stats" else [
+        "--stats", str(stats), "--arrays", str(arrays)
+    ]
+    out = tmp_path / "out.csv"
+    assert run_cli(command, *inputs, "--trees", str(trees), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: " + (
+        "stats requires 2 or 3 leaves per replicate, found {1, 2}" if command == "stats"
+        else f"replicate 3 is missing from {arrays}"
+    ) + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["arrays", "stats", "trees", "simulate"])
 def test_undecodable_bytes_name_their_file(tmp_path, capsys, bad):
     files = {
@@ -1341,11 +1364,32 @@ def fuzz_inputs(tmp_path_factory):
     return inputs
 
 
+def _stats_rows_read_back(arrays, trees):
+    """The rows of ``pair_stats`` or ``triple_stats`` on the arrays file
+    read back, each triple's cherry from its line of the trees file."""
+    by_rep = {}
+    for rep, leaf, _, token in filter(None, read_rows(arrays)[1:]):
+        by_rep.setdefault(int(rep), {}).setdefault(leaf, []).append(int(token))
+    lines = [ln.strip() for ln in read_lines(trees) if ln.strip()]
+    rows = []
+    for rep, leaf_arrays in sorted(by_rep.items()):
+        if len(leaf_arrays) == 2:
+            s = pair_stats(leaf_arrays)
+            ds = [s.d]
+        else:
+            cherry = parse_newick(lines[0 if len(lines) == 1 else rep - 1]).cherry()
+            s = triple_stats(leaf_arrays, cherry)
+            ds = [s.d1, s.d2, s.d3, s.d4]
+        rows.append([str(rep), str(s.m)] + ["" if d is None else str(d) for d in ds])
+    return rows
+
+
 def test_stats_and_estimate_exit_0_or_2_on_fuzzed_input(tmp_path, capsys, fuzz_inputs):
-    # no exception escapes main, an exit 2 leaves no file and says why, and
+    # no exception escapes main, an exit 2 leaves no file and says why, each
+    # stats row is the one-replicate kernel's on the files read back, and
     # each theta_hat is rho_hat x spacers / n over its replicate's n arrays
     rng = random.Random(20240517)
-    estimated = 0
+    estimated = summarized = 0
     for case in range(200):
         n = rng.choice((2, 3))
         files = {kind: tmp_path / f"{case}.{kind}" for kind in fuzz_inputs[n]}
@@ -1370,7 +1414,12 @@ def test_stats_and_estimate_exit_0_or_2_on_fuzzed_input(tmp_path, capsys, fuzz_i
         if code == 2:
             assert err.startswith("error: ") and not out.exists(), (argv, err)
             continue
-        if argv[0] == "stats" or not arrays:
+        if argv[0] == "stats":
+            want = _stats_rows_read_back(files["arrays"], files["trees"])
+            assert read_rows(out)[1:] == want, argv
+            summarized += 1
+            continue
+        if not arrays:
             continue
         estimated += 1
         rows = read_rows(files["arrays"])[1:]
@@ -1380,7 +1429,7 @@ def test_stats_and_estimate_exit_0_or_2_on_fuzzed_input(tmp_path, capsys, fuzz_i
             if theta_hat:
                 spacers = sum(1 for r in rows if r and int(r[0]) == rep)
                 assert float(theta_hat) == pytest.approx(float(rho_hat) * spacers / n, rel=1e-10)
-    assert estimated >= 40  # the theta_hat check ran
+    assert estimated >= 40 and summarized >= 20  # the theta_hat and stats checks ran
 
 
 # the fuzz test's numbers for theta, rho, times and rho grid values

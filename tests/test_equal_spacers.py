@@ -296,3 +296,17 @@ def test_interior_statistics_takes_one_outgroup_bit_per_row():
         totals, np.ones(30, dtype=int)
     ).tolist()
     assert [interior_statistics(row, o).tolist() for row, o in zip(totals, outgroup)] == want
+
+
+def test_views_of_any_number_of_arrays_take_up_to_64():
+    # gap_decomposition and equal_indices skip the interior totals, which
+    # would hold 2^64 counts here; spacer 7 is held by all arrays but "00"
+    arrays = {f"{i:02d}": [1, 7, 2, 100 + i, 3] if i else [1, 2, 100, 3] for i in range(64)}
+    gd = gap_decomposition(arrays)
+    assert gd.m == 3
+    assert gd.counts[frozenset(arrays) - {"00"}] == (0, 1, 0)
+    assert gd.counts[frozenset({"05"})] == (0, 0, 1)
+    assert equal_indices(arrays, set(arrays) - {"00"})["63"] == [2]
+    arrays["64"] = [1, 2, 3]
+    with pytest.raises(ValueError, match="leaf masks hold at most 64 arrays"):
+        gap_decomposition(arrays)

@@ -406,6 +406,15 @@ def test_general_law_rejects_full_subset():
             law.logpmf({frozenset(key): 1})
 
 
+def test_general_law_leaves_out_a_length_on_the_root():
+    # the root of "(1:1,2:1):5;" stores 5, which is no branch of the tree
+    law, bare = (GeneralGapLaw(parse_newick(s), 0.7) for s in ("(1:1,2:1):5;", "(1:1,2:1);"))
+    assert law.neg_rho_lambda == bare.neg_rho_lambda == -0.7 * 2
+    counts = {frozenset({"1"}): 2, frozenset({"2"}): 1}
+    assert law.logpmf(counts) == bare.logpmf(counts)
+    assert law.logpmf(counts) == pytest.approx(pair_gap_logpmf(2, 1, 0.7, 1.0), rel=1e-12)
+
+
 def test_general_law_array_matches_scalar():
     law = GeneralGapLaw(parse_newick("((1:0.5,2:0.5):0.5,3:1);"), 0.8)
     rng = np.random.default_rng(0)

@@ -176,17 +176,17 @@ def test_block_statistics_match_each_rows_tokens(n, rows, theta, rho, seed):
     tokens = np.concatenate([block.tokens[leaf] for leaf in leaves])[c]
     lengths = np.bincount(r * n + leaf_of[c], minlength=rows * n)
     starts = np.cumsum(lengths) - lengths
-    m_tokens, mask, gap, repeat = token_statistics(tokens, starts, n)
+    m_tokens, totals_tokens, mask, gap, repeat = token_statistics(tokens, starts, n)
     assert repeat == -1
     assert m_tokens.tolist() == m.tolist()
-    # the file form's interior totals: rows counted in gaps 1..m-1, by mask
+    # the file form's interior totals; a file holds no spacer every array lost
+    assert (totals_tokens[:, 1:] == totals[:, 1:]).all() and not totals_tokens[:, 0].any()
     row = np.repeat(np.arange(rows), lengths.reshape(rows, n).sum(axis=1))
     mask = mask.astype(np.int64)
 
     def by_mask(sel):
         return np.bincount(row[sel] * 2**n + mask[sel], minlength=rows * 2**n).reshape(rows, -1)
 
-    assert (by_mask(gap >= 1)[:, 1:] == totals[:, 1:]).all()
     assert (by_mask(gap == 1)[:, 1:] == first[:, 1:]).all()
     # a token's first holder is the lowest leaf bit of its mask
     own = 1 << np.repeat(np.tile(np.arange(n), rows), lengths)
@@ -298,6 +298,24 @@ def test_validation_chisquare_is_the_papers_pair_and_triple_law(T_prime, seed):
     title, got, _ = run_validation(rho, theta, T, T_prime, trials, seed)[0]
     assert title == f"{'pair' if T_prime is None else 'triple'} gap pmf chi-square"
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("newick", ["(1:0.9,2:0.9);", "((1:0.3,2:0.3):0.5,3:0.8);"])
+def test_sample_gaps_counted_per_block_equal_one_count_of_every_block(newick):
+    # 1300 trials: two full blocks and a partial one, each counted on its own
+    tree, params, trials, seed = parse_newick(newick), ModelParams(theta=40.0, rho=1.0), 1300, 9
+    sample = sample_gaps(tree, params, trials, seed)
+    rows = []
+    for rng, count in process.seeded_blocks(seed, (), trials):
+        block = simulate_block(tree, np.tile(tree.length, (process.BLOCK, 1)), params, rng)
+        fates = block.fates(tree.root)[:count]
+        equal = fates == 2 ** len(tree.leaves) - 1
+        fates[np.cumsum(equal, axis=1) - equal >= 2] = 0
+        m, totals = interior_totals(fates, len(tree.leaves))
+        rows.append(totals[m >= 2][:, [subset_mask(tree.leaves, K) for K in sample.classes]])
+    keys, counts = np.unique(np.concatenate(rows), axis=0, return_counts=True)
+    want = list(zip(map(tuple, keys.tolist()), counts.tolist()))
+    assert list(sample.first_gaps.items()) == want
 
 
 def test_validation_detects_a_doubled_loss_rate_on_one_edge(monkeypatch):
