@@ -54,6 +54,7 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -159,8 +160,6 @@ def _load_tree_source(source: str):
             n = int(source.split(":", 1)[1])
         except ValueError:
             raise CliError(f"invalid tree source {source!r}") from None
-        if n < 2:
-            raise CliError("coalescent sample size must be >= 2")
         if 2 * n - 1 > MAX_NODES:  # before coalescent_block allocates its nodes
             raise CliError(f"coalescent sample size must be <= {(MAX_NODES + 1) // 2}")
         return None, n
@@ -678,6 +677,7 @@ def cmd_replicate_fig1(args) -> int:
 # -- entry point -------------------------------------------------------
 
 
+@cache  # built once per process: in-process callers of main share it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spacerloss",

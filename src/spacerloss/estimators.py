@@ -8,9 +8,10 @@ relative, before any bisection fallback.  Both estimate a batch of rows
 at once and return one :class:`Fit`: :func:`pair_mle` and
 :func:`triple_mle`, with :func:`estimate_rho_pair` and
 :func:`estimate_rho_triple` as their one-row views.  Boundary optima are
-flagged, never silently returned as interior values, and datasets with
-fewer than two equal spacers are rejected with a typed error so
-experiment harnesses can count them.
+flagged, never silently returned as interior values.  Input goes
+through :mod:`spacerloss.likelihood`'s checkers: M < 2 in any row raises
+:class:`InsufficientDataError` (re-exported here), so experiment
+harnesses can count such datasets.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .likelihood import (
-    pair_conditional_loglik, triple_conditional_loglik, triple_score_unchecked
+    InsufficientDataError, _check_stats, _check_times, pair_conditional_loglik,
+    triple_conditional_loglik, triple_score_unchecked,
 )
 
 __all__ = [
@@ -49,10 +51,6 @@ TRIPLE_TOL = 1e-9
 TRIPLE_MAX_ITER = 100
 
 _UNIT_GRID = np.linspace(0.0, 1.0, TRIPLE_GRID_POINTS)
-
-
-class InsufficientDataError(ValueError):
-    """Fewer than two equal spacers: the conditional likelihood is empty."""
 
 
 @dataclass(frozen=True)
@@ -95,12 +93,8 @@ def pair_mle(m, d, T) -> Fit:
     with probability 1).  A pair has no grid: no row is
     ``multimodal_suspect`` and every ``grid_argmax`` is NaN."""
     m, d, T = np.broadcast_arrays(*np.atleast_1d(m, d, T))
-    if np.any(m < 2):
-        raise InsufficientDataError("pair estimator requires m >= 2")
-    if np.any(d < 0):
-        raise ValueError("d must be nonnegative")
-    if not np.all(T > 0):
-        raise ValueError("T must be positive")
+    _check_stats(m, (d,))
+    _check_times(None, T)
     fit = Fit.at_zero(d == 0)
     live = np.flatnonzero(d)
     if not live.size:
@@ -126,8 +120,7 @@ def estimate_rho_pair(m: int, d: int, T: float) -> EstimateResult:
 def negbin_p_mle(m, d):
     """MLE of p when d is modeled as NegBin(2(m-1), p), which is the pair
     estimator's p* = (1 + d/(2(m-1)))^{-1}; broadcasts over arrays."""
-    if np.any(np.asarray(m) < 2):
-        raise InsufficientDataError("requires m >= 2")
+    _check_stats(m, ())
     return 1.0 / (1.0 + d / (2.0 * (m - 1)))
 
 
@@ -153,10 +146,8 @@ def triple_mle(m, d, T, T_prime) -> Fit:
     if d.ndim != 2 or d.shape[1] != 4:
         raise ValueError("d must hold D1..D4 in the columns of a 2-d array")
     m, T, T_prime = np.broadcast_arrays(m, T, T_prime, np.empty(d.shape[:1]))[:3]
-    if np.any(m < 2):
-        raise InsufficientDataError("triple estimator requires m >= 2")
-    if not np.all((T >= T_prime) & (T_prime > 0)):
-        raise ValueError("need T >= T_prime > 0")
+    _check_stats(m, (d,))
+    _check_times(None, T, T_prime)
     fit = Fit.at_zero(np.ones(len(d), dtype=bool))
     live = np.flatnonzero(d.any(axis=1))
     if not live.size:

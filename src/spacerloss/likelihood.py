@@ -15,6 +15,12 @@ all 2^n exact leaf subsets off the root's table of the one post-order
 pass, :func:`spacerloss.tree.fate_probs`, and stores their logs indexed
 by leaf mask - 1; :meth:`GeneralGapLaw.logpmf` visits only the nonzero
 counts of a gap.
+
+Each input condition has one checker, shared with the estimators:
+:func:`_check_stats` (M >= 2, :class:`InsufficientDataError`),
+:func:`_check_counts` (nonnegative counts) and :func:`_check_times`
+(rho > 0, T >= T' > 0).  Only :meth:`GeneralGapLaw.logpmf` checks its
+counts one by one, in the loop that visits them.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .tree import UltrametricTree, fate_probs, mask_subset, p_exact_subset, subs
 
 __all__ = [
     "GeneralGapLaw",
+    "InsufficientDataError",
     "pair_gap_pmf",
     "pair_gap_logpmf",
     "pair_sampling_logpmf",
@@ -50,28 +57,36 @@ __all__ = [
 MAX_RHO_T = 700.0
 
 
+class InsufficientDataError(ValueError):
+    """Fewer than two equal spacers: the conditional likelihood is empty."""
+
+
+def _check_stats(m, ds) -> None:
+    """The one check of m >= 2 equal spacers, then :func:`_check_counts`
+    of the statistics ``ds``; every argument may be an array."""
+    if np.any(np.asarray(m) < 2):
+        raise InsufficientDataError("need at least 2 equal spacers (m >= 2)")
+    _check_counts(*ds)
+
+
+def _check_counts(*counts) -> None:
+    """The one check of nonnegative counts; each argument may be an array."""
+    if any(np.any(np.asarray(c) < 0) for c in counts):
+        raise ValueError("counts must be nonnegative")
+
+
 def _check_times(rho, T, T_prime=None) -> None:
-    """Checks of the loss rate and the times, ``T_prime`` being None for a
-    pair; every argument may be an array."""
-    if not np.all(np.asarray(rho) > 0):
+    """The one check of rho > 0 (skipped where ``rho`` is None), T > 0 and,
+    unless ``T_prime`` is None (a pair), T_prime > 0 and T >= T_prime; on
+    arrays too."""
+    if rho is not None and not np.all(np.asarray(rho) > 0):
         raise ValueError("rho must be positive")
     if not np.all(np.asarray(T) > 0):
         raise ValueError("T must be positive")
-    if T_prime is not None:
-        if not np.all(np.asarray(T_prime) > 0):
-            raise ValueError("T_prime must be positive")
-        if np.any(np.asarray(T) < T_prime):
-            raise ValueError("T must be >= T_prime")
-
-
-def _check_stats(m, ds, rho, T, T_prime=None) -> None:
-    """The checks of the conditional log-likelihoods and the triple score:
-    m >= 2 and nonnegative statistics, then :func:`_check_times`."""
-    if np.any(np.asarray(m) < 2):
-        raise ValueError("need at least 2 equal spacers")
-    if any(np.any(np.asarray(d) < 0) for d in ds):
-        raise ValueError("statistics must be nonnegative")
-    _check_times(rho, T, T_prime)
+    if T_prime is not None and not np.all(np.asarray(T_prime) > 0):
+        raise ValueError("T_prime must be positive")
+    if T_prime is not None and np.any(np.asarray(T) < T_prime):
+        raise ValueError("T must be >= T_prime")
 
 
 def _exp_neg(rho: float, T: float) -> float:
@@ -100,10 +115,8 @@ def _log_factorial(k):
 def pair_gap_logpmf(a, b, rho: float, T: float):
     """log P(A=a, B=b): C(a+b, a) * (p / (2-p)) * x^(a+b), p = e^{-rho T}."""
     _check_times(rho, T)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("counts must be nonnegative")
+    a, b = np.asarray(a), np.asarray(b)
+    _check_counts(a, b)
     p = _exp_neg(rho, T)
     s = a + b
     if p >= 1.0:  # rho * T below float resolution: all mass at (0, 0)
@@ -147,12 +160,10 @@ def pair_sampling_logpmf(v, w, theta: float, rho: float, T: float) -> float:
     _check_times(rho, T)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    v = list(v)
-    w = list(w)
+    v, w = list(v), list(w)
     if len(v) != len(w) or not v:
         raise ValueError("v and w must be nonempty and of equal length")
-    if any(x < 0 for x in (v[0], w[0])):
-        raise ValueError("counts must be nonnegative")
+    _check_counts(v[0], w[0])
     if any(x2 < x1 for x1, x2 in zip(v, v[1:])) or any(
         x2 < x1 for x1, x2 in zip(w, w[1:])
     ):
@@ -184,7 +195,8 @@ def pair_conditional_loglik(m, d, rho, T):
     Every argument broadcasts over numpy arrays; scalar arguments give a
     float."""
     rho = np.asarray(rho, dtype=float)
-    _check_stats(m, (d,), rho, T)
+    _check_stats(m, (d,))
+    _check_times(rho, T)
     rho_T = rho * T
     p = np.exp(-np.minimum(rho_T, MAX_RHO_T))
     log_2mp = np.log(2.0 - p)
@@ -216,9 +228,7 @@ def triple_gap_logpmf(a, b, c, d, e, f, rho: float, T: float, T_prime: float):
     """log P of one interior-gap count tuple: multinomial times the
     per-class factors q_i/(1-q7) with final factor q8/(1-q7)."""
     counts = [np.asarray(x) for x in (a, b, c, d, e, f)]
-    for x in counts:
-        if np.any(x < 0):
-            raise ValueError("counts must be nonnegative")
+    _check_counts(*counts)
     q = die_probs_triple(rho, T, T_prime)
     denom = 1.0 - q[6]
     g = [qi / denom for qi in q[:6]]
@@ -246,7 +256,8 @@ def triple_conditional_loglik(m, d1, d2, d3, d4, rho, T, T_prime):
     :func:`triple_conditional_score`, so they keep full relative
     precision as rho T -> 0."""
     rho = np.asarray(rho, dtype=float)
-    _check_stats(m, (d1, d2, d3, d4), rho, T, T_prime)
+    _check_stats(m, (d1, d2, d3, d4))
+    _check_times(rho, T, T_prime)
     log_pT = np.maximum(rho * -T, -MAX_RHO_T)
     log_pTp = np.maximum(rho * -T_prime, -MAX_RHO_T)
     a, ap = -np.expm1(log_pT), -np.expm1(log_pTp)  # 1 - pT, 1 - pTp
@@ -271,7 +282,8 @@ def triple_conditional_score(m, d1, d2, d3, d4, rho, T, T_prime):
     terms.  Every argument broadcasts over numpy arrays; scalar arguments
     give a pair of floats."""
     rho = np.asarray(rho, dtype=float)
-    _check_stats(m, (d1, d2, d3, d4), rho, T, T_prime)
+    _check_stats(m, (d1, d2, d3, d4))
+    _check_times(rho, T, T_prime)
     score, curvature = triple_score_unchecked(m, d1, d2, d3, d4, rho, T, T_prime)
     if np.ndim(score) == 0:
         return float(score), float(curvature)
@@ -390,8 +402,7 @@ class GeneralGapLaw:
         """Vectorized logpmf; ``counts`` has one column per subset, column
         ``mask - 1`` for the subset of ``mask``."""
         counts = np.asarray(counts)
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
+        _check_counts(counts)
         s = counts.sum(axis=-1)
         out = (
             -(1 + s) * self.log_p_root

@@ -86,15 +86,19 @@ def chi2_sf(x: float, df: int) -> float:
     return head + math.fsum(math.exp(k * log_z - z - math.lgamma(k + 1)) for k in ks.tolist())
 
 
-def chisquare_from_counts(observed: dict, probs: dict, total: int, min_expected=5.0):
+# a chi-square cell needs this expected count; smaller ones are pooled
+MIN_EXPECTED = 5.0
+
+
+def chisquare_from_counts(observed: dict, probs: dict, total: int):
     """Chi-square of the first-gap counts of ``total`` replicates with M >= 2
-    against model probabilities, pooling low-expectation cells."""
+    against model probabilities, pooling cells expected below MIN_EXPECTED."""
     keys = sorted(probs, key=lambda k: -probs[k])
     obs, exp = [], []
     pool_e = 0.0
     for k in keys:
         e = probs[k] * total
-        if e >= min_expected:
+        if e >= MIN_EXPECTED:
             obs.append(observed.get(k, 0))
             exp.append(e)
         else:
@@ -107,7 +111,7 @@ def chisquare_from_counts(observed: dict, probs: dict, total: int, min_expected=
     if len(exp) < 2:  # no degrees of freedom: the p-value would be NaN
         raise ValueError(
             f"{total} trials had M >= 2 and their first gaps fell into fewer than two cells "
-            f"of expected count >= {min_expected:g}, too few for a chi-square; "
+            f"of expected count >= {MIN_EXPECTED:g}, too few for a chi-square; "
             "raise rho*T, --trials or theta/rho"
         )
     exp = np.asarray(exp, dtype=float)

@@ -586,11 +586,24 @@ STATS_PAIR, STATS_TRIPLE = "replicate,M,D\n1,3,2\n", "replicate,M,D1,D2,D3,D4\n1
      {"st.csv": STATS_PAIR,
       "a.csv": "replicate,leaf,position,spacer\n1,1,1,5\n1,2,1,5\n-3,1,1,7\n-3,2,1,7\n"},
      "a.csv: replicate numbers start at 1, found -3"),
+    # one checker per condition: the estimators' messages are the
+    # likelihood checkers', and a doubly bad simulate reports its output
+    (["estimate", "--stats", "st.csv", "--T", "1", "--out", "o.csv"],
+     {"st.csv": "replicate,M,D\n1,3,-2\n"}, "counts must be nonnegative"),
+    (["estimate", "--stats", "st.csv", "--T", "1", "--Tprime", "0.5", "--out", "o.csv"],
+     {"st.csv": "replicate,M,D1,D2,D3,D4\n1,3,1,-1,0,1\n"}, "counts must be nonnegative"),
+    (["estimate", "--stats", "st.csv", "--T", "0.5", "--Tprime", "1", "--out", "o.csv"],
+     {"st.csv": STATS_TRIPLE}, "T must be >= T_prime"),
+    (["estimate", "--stats", "st.csv", "--T", "1", "--Tprime", "0", "--out", "o.csv"],
+     {"st.csv": STATS_TRIPLE}, "T_prime must be positive"),
+    (["simulate", "--tree", "coalescent:1", "--theta", "1", "--rho", "1",
+      "--out", "nodir/x.csv"], {}, "cannot write nodir/x.csv: No such file or directory"),
 ], ids=[
     "arrays-header", "stats-header", "pair-without-times", "triple-without-tprime",
     "coalescent-x", "coalescent-1", "fig1-no-replicates", "validate-tprime-equals-t",
     "pair-stats-replicate-0", "triple-stats-replicate-minus-1", "arrays-replicate-0",
-    "estimate-arrays-replicate-minus-3",
+    "estimate-arrays-replicate-minus-3", "pair-negative-d", "triple-negative-d",
+    "triple-t-below-tprime", "triple-tprime-0", "coalescent-1-into-missing-directory",
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, monkeypatch, capsys, argv, files, err):
     monkeypatch.chdir(tmp_path)
@@ -599,6 +612,66 @@ def test_input_errors_exit_2_with_their_message(tmp_path, monkeypatch, capsys, a
     assert run_cli(*argv) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def _raise_from_simulate_block(monkeypatch):
+    def failing(*args):
+        raise FileNotFoundError(2, "No such file or directory", "elsewhere.csv")
+
+    monkeypatch.setattr(cli, "simulate_block", failing)
+
+
+def _raise_from_loadtxt(monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("injected loadtxt failure")
+
+    monkeypatch.setattr(np, "loadtxt", failing)
+
+
+# exit-2 paths of the file layer that no input reaches by itself, each with
+# a failure injected: (injection, argv, files, stderr)
+@pytest.mark.parametrize("inject, argv, files, err", [
+    # an OSError naming a file other than the outputs' temporaries passes
+    # through _committed unchanged
+    (_raise_from_simulate_block,
+     ["simulate", "--tree", "coalescent:2", "--theta", "1", "--rho", "1", "--out", "o.csv"], {},
+     "[Errno 2] No such file or directory: 'elsewhere.csv'"),
+    # numpy rejects a file whose rows all look valid: its own message
+    (_raise_from_loadtxt, ["stats", "--arrays", "a.csv", "--out", "o.csv"],
+     {"a.csv": "replicate,leaf,position,spacer\n1,1,1,5\n1,2,1,5\n"},
+     "a.csv: injected loadtxt failure"),
+], ids=["committed-reraises-other-file", "arrays-numpy-fallback-message"])
+def test_injected_failures_exit_2_with_their_message(
+    tmp_path, monkeypatch, capsys, inject, argv, files, err
+):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    inject(monkeypatch)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    missing = tmp_path / "none.csv"
+    assert run_cli("validate", "--rho", "1", "--theta", "10", "--T", "1", "--trials", "10") == 2
+    assert run_cli("stats", "--arrays", str(missing), "--out", str(tmp_path / "o.csv")) == 2
+    assert capsys.readouterr().err == (
+        "error: need at least 1000 trials\n"
+        f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    # each parse holds its own command's options and no other's
+    parser = cli.build_parser()
+    first = parser.parse_args(["stats", "--arrays", "a.csv", "--out", "o.csv"])
+    second = parser.parse_args(["validate", "--rho", "1", "--theta", "10", "--T", "1",
+                                "--trials", "1000"])
+    assert vars(first) == {"command": "stats", "arrays": "a.csv", "trees": None, "out": "o.csv",
+                           "func": cli.cmd_stats}
+    assert vars(second) == {"command": "validate", "rho": 1.0, "theta": 10.0, "T": 1.0,
+                            "Tprime": None, "trials": 1000, "seed": 0, "func": cli.cmd_validate}
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_estimate_rejects_moments_method(tmp_path):

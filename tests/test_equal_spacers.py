@@ -310,3 +310,21 @@ def test_views_of_any_number_of_arrays_take_up_to_64():
     arrays["64"] = [1, 2, 3]
     with pytest.raises(ValueError, match="leaf masks hold at most 64 arrays"):
         gap_decomposition(arrays)
+
+
+# the module's input checks that no other test reaches, each through its
+# public entry point: (call, exception type, message)
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: equal_indices({"1": [1], "2": [1]}, []), ValueError,
+                 "K must be nonempty", id="equal-indices-empty-k"),
+    pytest.param(lambda: equal_indices({"1": [1], "2": [1]}, ["1"], L=["1", "2", "3"]), KeyError,
+                 "no array for leaf '3'", id="equal-indices-label-without-array"),
+    pytest.param(lambda: gap_decomposition({"1": [1, 2]}), ValueError,
+                 "need at least 2 leaf arrays", id="gap-decomposition-one-array"),
+    pytest.param(lambda: triple_stats({"1": [1], "2": [1]}, ("1", "2")), ValueError,
+                 "triple_stats requires exactly 3 leaf arrays", id="triple-stats-two-arrays"),
+])
+def test_input_checks_raise_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and exc.value.args == (message,)

@@ -303,7 +303,7 @@ def test_triple_mle_checks_every_row():
     ok = (5, (1, 1, 1, 1), 1.0, 0.5)
     for bad, error, message in [
         ((1, (1, 1, 1, 1), 1.0, 0.5), InsufficientDataError, "m >= 2"),
-        ((5, (1, 1, 1, 1), 0.5, 1.0), ValueError, "T >= T_prime > 0"),
+        ((5, (1, 1, 1, 1), 0.5, 1.0), ValueError, "T must be >= T_prime"),
         ((5, (1, -1, 1, 1), 1.0, 0.5), ValueError, "nonnegative"),
         ((5, (1, 1, 1, 1), 1e-320, 1e-320), ValueError, "out of range"),
         ((5, (1, 1, 1, 1), 1e308, 1e308), ValueError, "out of range"),
@@ -332,3 +332,41 @@ def test_theta_moment_rows_are_the_one_row_view():
     ]
     with pytest.raises(ValueError, match="rho_hat must be positive"):
         theta_moment([1.0, 0.0], [3, 4], 2)
+
+
+M_BELOW_2 = "need at least 2 equal spacers (m >= 2)"
+
+
+# the module's input checks that no other test reaches, and M < 2 into
+# every estimator and conditional log-likelihood, each through its public
+# entry point: (call, exception type, message)
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: pair_mle(5, -1, 1.0), ValueError, "counts must be nonnegative",
+                 id="pair-negative-d"),
+    pytest.param(lambda: triple_mle(5, [1, 1, 1, 1], 1.0, 0.5), ValueError,
+                 "d must hold D1..D4 in the columns of a 2-d array", id="triple-d-not-b-by-4"),
+    pytest.param(lambda: negbin_p_mle(1, 3), InsufficientDataError, M_BELOW_2,
+                 id="negbin-m-1"),
+    pytest.param(lambda: pair_mle([5, 1], [3, 3], 1.0), InsufficientDataError, M_BELOW_2,
+                 id="pair-m-1"),
+    pytest.param(lambda: triple_mle([1], [[1, 1, 1, 1]], 1.0, 0.5), InsufficientDataError,
+                 M_BELOW_2, id="triple-m-1"),
+    pytest.param(lambda: pair_conditional_loglik(1, 3, 1.0, 1.0), InsufficientDataError,
+                 M_BELOW_2, id="pair-loglik-m-1"),
+    pytest.param(lambda: triple_conditional_loglik(1, 1, 1, 1, 1, 1.0, 1.0, 0.5),
+                 InsufficientDataError, M_BELOW_2, id="triple-loglik-m-1"),
+    pytest.param(lambda: triple_conditional_score(0, 1, 1, 1, 1, 1.0, 1.0, 0.5),
+                 InsufficientDataError, M_BELOW_2, id="triple-score-m-0"),
+])
+def test_input_checks_raise_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and exc.value.args == (message,)
+
+
+def test_insufficient_data_error_is_one_class():
+    import spacerloss
+    from spacerloss import likelihood
+
+    assert spacerloss.InsufficientDataError is estimators.InsufficientDataError
+    assert estimators.InsufficientDataError is likelihood.InsufficientDataError

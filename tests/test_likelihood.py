@@ -535,3 +535,23 @@ def test_extreme_rates_stay_finite():
     assert math.isfinite(pair_gap_logpmf(500, 500, 3.0, 2.0))
     assert math.isfinite(triple_gap_logpmf(100, 100, 100, 100, 100, 100, 2.0, 2.0, 1.0))
     assert pair_gap_pmf(0, 0, 1e-12, 1e-6) == pytest.approx(1.0, abs=1e-6)
+
+
+# the module's input checks that no other test reaches, each through its
+# public entry point: (call, exception type, message)
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: pair_sampling_logpmf([0], [0], -1.0, 1.0, 1.0), ValueError,
+                 "theta must be nonnegative", id="sampling-negative-theta"),
+    pytest.param(lambda: pair_sampling_logpmf([], [], 1.0, 1.0, 1.0), ValueError,
+                 "v and w must be nonempty and of equal length", id="sampling-empty"),
+    pytest.param(lambda: pair_sampling_logpmf([0, 1], [0], 1.0, 1.0, 1.0), ValueError,
+                 "v and w must be nonempty and of equal length", id="sampling-unequal-lengths"),
+    pytest.param(lambda: pair_sampling_logpmf([-1, 2], [0, 1], 1.0, 1.0, 1.0), ValueError,
+                 "counts must be nonnegative", id="sampling-negative-first-count"),
+    pytest.param(lambda: triple_gap_logpmf(0, 0, 0, 0, 0, -1, 1.0, 1.0, 0.5), ValueError,
+                 "counts must be nonnegative", id="triple-gap-negative-count"),
+])
+def test_input_checks_raise_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and exc.value.args == (message,)

@@ -381,3 +381,23 @@ def test_validation_normal_p_is_twice_scipys_normal_tail(monkeypatch):
     tail = want >= 1e-300
     assert np.all(np.abs(p[tail] - want[tail]) <= 1e-11 * want[tail])
     assert np.all(p[~tail] < 1e-290)
+
+
+def _block_of_65_leaves():
+    rng = np.random.default_rng(3)
+    parent, length = coalescent_block(65, 1, rng)
+    return simulate_block(coalescent_tree(parent[0], length[0]), length, ModelParams(1.0, 1.0), rng)
+
+
+# the module's input checks that no other test reaches, each through its
+# public entry point: (call, exception type, message)
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: (block := _block_of_65_leaves()).fates(block.tree.root),
+                 ValueError, "fate masks hold at most 64 leaves", id="fates-of-65-leaves"),
+    pytest.param(lambda: simulate_line((), ModelParams(theta=1.0, rho=1.0), -1.0, 0),
+                 ValueError, "duration must be nonnegative", id="simulate-line-negative-duration"),
+])
+def test_input_checks_raise_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and exc.value.args == (message,)

@@ -22,6 +22,7 @@ from spacerloss.tree import (
     poisson_mean_new,
     sample_coalescent,
     spanning_length,
+    subset_mask,
     survival,
     to_newick,
 )
@@ -429,3 +430,48 @@ def test_new_spacer_means_match_path_walks_where_survival_is_rare(t):
         )
         assert means[k] == pytest.approx(theta / rho * want, rel=1e-12, abs=1e-300)
         assert poisson_mean_new(t, theta, rho, K) == means[k]
+
+
+# the module's input checks that no other test reaches, each through its
+# public entry point: (call, exception type, message)
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: subset_mask(("1", "2"), ["3"]), TreeError,
+                 "unknown leaf label '3'", id="subset-mask-unknown-label"),
+    pytest.param(lambda: UltrametricTree.build([-1, -1], [0.0, 0.0], ["1", "2"]), TreeError,
+                 "tree must have exactly one root, found 2", id="build-two-roots"),
+    pytest.param(lambda: UltrametricTree.build([-1, 0, 0], [0.0, 1.0, 1.0], ["r", "1", "2"]),
+                 TreeError, "labeled node 'r' has children", id="build-labelled-internal-node"),
+    pytest.param(lambda: UltrametricTree.build([-1, 0], [0.0, 1.0], ["", "1"]), TreeError,
+                 "internal node 0 has 1 children, tree must be binary",
+                 id="build-one-child-node"),
+    pytest.param(lambda: parse_newick(CHERRY).cherry(), TreeError,
+                 "cherry() is defined for 3-leaf trees", id="cherry-of-a-pair"),
+    pytest.param(lambda: parse_newick("(:1,2:1);"), NewickError,
+                 "empty leaf label (at position 1)", id="newick-empty-label"),
+    pytest.param(lambda: parse_newick("(1:1;2:1);"), NewickError,
+                 "unexpected character ';' (at position 4)", id="newick-unexpected-character"),
+    pytest.param(lambda: parse_newick("(1:1,2:1)x;"), NewickError,
+                 "trailing characters 'x' (at position 9)", id="newick-trailing-characters"),
+    pytest.param(lambda: mrca(parse_newick(TRIPLE), []), TreeError,
+                 "leaf subset must be nonempty", id="mrca-empty-subset"),
+    pytest.param(lambda: survival(parse_newick(TRIPLE), 0.0), ValueError,
+                 "rho must be positive", id="survival-rho-0"),
+    pytest.param(lambda: fate_probs(parse_newick(TRIPLE), 0.0), ValueError,
+                 "rho must be positive", id="fate-probs-rho-0"),
+    # without a table, p_exact_subset builds its own survival
+    pytest.param(lambda: p_exact_subset(parse_newick(TRIPLE), 0.0, 0, {"1"}), ValueError,
+                 "rho must be positive", id="p-exact-subset-own-table"),
+    pytest.param(
+        lambda: p_exact_subset(
+            parse_newick(TRIPLE), 2.0, 0, {"1"}, survival(parse_newick(TRIPLE), 1.0)
+        ),
+        ValueError, "survival table was computed for a different rho",
+        id="p-exact-subset-other-rho-table",
+    ),
+    pytest.param(lambda: new_spacer_means(parse_newick(TRIPLE), -1.0, 1.0), ValueError,
+                 "theta must be nonnegative", id="new-spacer-means-negative-theta"),
+])
+def test_input_checks_raise_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and exc.value.args == (message,)
